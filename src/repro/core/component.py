@@ -774,5 +774,10 @@ class ComponentCore:
         with self._lock:
             return len(self._queue) - self._qhead + len(self._buffer)
 
+    @property
+    def executing(self) -> bool:
+        """True while a scheduler is running one of this component's handlers."""
+        return self._exec_state == _BUSY
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ComponentCore {self.name} {self.state.value}>"

@@ -6,14 +6,37 @@ port contract, same length-prefixed frames and hello handshake — so the
 two backends interoperate on one wire — but a completely different
 execution model:
 
-- **one event-loop thread** drives every peer through a
-  ``selectors.DefaultSelector`` (the blocking backend burns a reader
-  and a writer thread per connection);
-- **write coalescing**: handler threads encode messages and append them
-  to a per-peer outbox; the loop folds whatever has queued into one
-  batch frame (``FLAG_BATCH``, count-prefixed) and flushes it with a
-  single ``sendmsg`` scatter/gather syscall — headers and payloads ride
-  as separate iovec segments, never concatenated;
+- **one event-loop thread** owns the selector, every read, and every
+  connection's life cycle (dial, ``EVENT_WRITE`` interest, redial,
+  backoff, idle reaping); the blocking backend burns a reader and a
+  writer thread per connection.  An iteration costs the sockets that
+  are ready: timers hang off one stored next-deadline, and the peer
+  table is walked only when that deadline passes;
+- **write ownership**: a connection has one outbox, one unsent batch
+  tail and one ``write_lock``; whoever holds the lock is the only writer
+  of that socket, and there is one routine (``_drain``) that turns the
+  outbox into batch frames and ``sendmsg`` calls.  Both the loop and a
+  sending handler take the lock with a try-lock; ``_close_conn`` holds
+  it while it closes the socket, so no thread is ever inside
+  ``sendmsg`` on a closing descriptor.  One outbox and one writer at a
+  time is what keeps per-pair FIFO while the connection lives;
+- **direct write**: a handler thread encodes the message and appends it
+  to the peer's outbox.  If the connection is established, nothing is
+  in flight on it and the handler runs out of the component's mailbox
+  with no further event queued behind it, the handler takes write
+  ownership, drains the outbox itself and returns — no self-pipe byte,
+  no thread switch.  If the socket refuses bytes (``EAGAIN``, partial
+  write, error), the connection is still dialling, or the try-lock is
+  lost, it leaves the queue as it is and wakes the loop, which carries
+  on from there;
+- **write coalescing**: when more sends are queued behind this one (or
+  the caller bypassed the mailbox, where a burst would have shown) they
+  only accumulate and wake the loop; the last of them, or the loop,
+  folds whatever has queued into one batch frame (``FLAG_BATCH``,
+  count-prefixed) flushed with a single ``sendmsg`` scatter/gather
+  syscall — headers and payloads ride as separate iovec segments, never
+  concatenated.  The same happens under backpressure: while a batch
+  tail is in flight, everything sent accumulates behind it;
 - **zero-copy receive**: one reusable buffer is ``recv_into``-ed and fed
   to a per-connection :class:`FrameStreamParser`, which decodes from
   ``memoryview`` slices and copies only incomplete tails;
@@ -22,7 +45,10 @@ execution model:
   hello handshake, and reaped after ``idle_timeout`` of silence;
 - **bounded outbox**: each peer's queue has a high-water mark with a
   drop-oldest (default) or block overflow policy; drops are counted and
-  surfaced over the ``Status`` port.
+  surfaced over the ``Status`` port;
+- **containment**: an unexpected exception in a selector callback or in
+  a direct write sheds that one connection and is counted
+  (``loop_errors``); the loop and every other connection live on.
 
 Delivery semantics match the oracle: per-peer-pair FIFO while a
 connection lives, no delivery guarantee across a connection failure
@@ -65,6 +91,8 @@ _IOV_CAP = 512
 #: header keeps a full batch within _IOV_CAP.
 _MAX_BATCH = 128
 _RECV_BUFFER = 256 * 1024
+#: "No timer pending": the loop then sleeps until a socket or the self-pipe wakes it.
+_NEVER = float("inf")
 
 
 class _Peer:
@@ -76,7 +104,6 @@ class _Peer:
         "conn",
         "backoff",
         "next_dial_at",
-        "blocked_drops",
     )
 
     def __init__(self, key: tuple[str, int]) -> None:
@@ -85,7 +112,6 @@ class _Peer:
         self.conn: Optional["_AioConnection"] = None
         self.backoff = 0.0
         self.next_dial_at = 0.0
-        self.blocked_drops = 0
 
 
 class _AioConnection:
@@ -95,6 +121,7 @@ class _AioConnection:
         "sock",
         "peer",
         "parser",
+        "write_lock",
         "inflight",
         "connecting",
         "connect_deadline",
@@ -108,11 +135,14 @@ class _AioConnection:
         self.sock = sock
         self.peer: Optional[_Peer] = None
         self.parser = parser
+        # Write ownership: held (try-lock) by whichever thread is draining
+        # the peer's outbox into this socket, and by _close_conn.  Guards
+        # ``inflight``, ``closed`` becoming true, and the socket's write side.
+        self.write_lock = threading.Lock()
         self.inflight: list = []  # unsent tail of the current batch (memoryviews)
         self.connecting = False
         self.connect_deadline = 0.0
-        self.established_at = time.monotonic()
-        self.last_active = time.monotonic()
+        self.established_at = self.last_active = time.monotonic()
         self.events = 0
         self.closed = False
 
@@ -152,8 +182,12 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
 
-        # Counters.  sent/dropped_frames mutate under _lock (handler
-        # threads); the rest belong to the loop thread alone.
+        # Counters.  Every connection has its own writer (the holder of
+        # its write_lock, a handler thread or the loop), so whatever more
+        # than one thread can bump — sent, dropped_frames, batches,
+        # batched_messages, bytes_sent, direct_writes, loop_wakeups,
+        # loop_errors — mutates under _lock.  received, bytes_received,
+        # reconnects and reaped belong to the loop thread alone.
         self.sent = 0
         self.received = 0
         self.dropped_frames = 0
@@ -163,6 +197,9 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         self.bytes_received = 0
         self.reconnects = 0
         self.reaped = 0
+        self.direct_writes = 0  # sends whose frames the sender's thread wrote itself
+        self.loop_wakeups = 0  # self-pipe bytes: times a thread had to wake the loop
+        self.loop_errors = 0  # unexpected exceptions contained to one connection
 
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._conns: set[_AioConnection] = set()  # every live socket, incl. pre-hello
@@ -180,12 +217,19 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         self._commands: deque = deque()
         self._recv_buf = bytearray(_RECV_BUFFER)
         self._recv_view = memoryview(self._recv_buf)
+        # Loop-thread timers: the earliest moment anything is due (a
+        # connect deadline, a dial backoff, the idle sweep).  Setting a
+        # deadline pulls it earlier; _run_timers recomputes it.
+        self._next_sweep = self._sweep_after(time.monotonic())
+        self._next_deadline = self._next_sweep
 
         self._server = socket.create_server(  # repro: noqa[D004]
             (address.host, address.port), reuse_port=False
         )
         self._server.setblocking(False)
         self.address = Address(address.host, self._server.getsockname()[1], address.node_id)
+        # Selector key data: a connection, or the callback of the two
+        # sockets that are not connections.
         self._selector.register(self._server, selectors.EVENT_READ, self._on_accept)
         self._selector.register(self._wake_r, selectors.EVENT_READ, self._on_wakeup)
         self._loop = threading.Thread(  # repro: noqa[D004]
@@ -216,6 +260,14 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             self.log.exception("dropping unserializable message")
             return
         key = (destination.host, destination.port)
+        # More sends queued behind this one?  Then this one only
+        # accumulates; the last of the burst (or the loop) writes them
+        # out as one batch.  The mailbox is where a burst shows, so a
+        # caller that did not come out of it (a foreign thread calling
+        # this handler) gives no such reading and coalesces via the loop.
+        core = self.core
+        last_queued = core.executing and core.pending_events == 0
+        need_wake = False
         # The lock guards only in-memory deque/dict operations (both here
         # and on the loop thread); it is never held across a syscall, so
         # the stall P005 warns about is a few hundred nanoseconds.
@@ -251,30 +303,79 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                             return
             peer.outbox.append(part)
             self.sent += 1
-        self._notify(peer)
+            conn = peer.conn
+            direct = (
+                last_queued
+                and conn is not None
+                and not conn.connecting
+                and not conn.inflight
+            )
+            if not direct:
+                self._dirty.append(peer)
+                need_wake = self._claim_wake()
+        if direct:
+            if not self._write_direct(peer, conn):
+                self._notify(peer)
+        elif need_wake:
+            self._wake()
+
+    def _write_direct(self, peer: _Peer, conn: "_AioConnection") -> bool:
+        """Drain ``peer``'s outbox from the sender's own thread.
+
+        True when nothing is left for the loop to do.  Whatever goes
+        wrong — a lost try-lock, a socket that refuses bytes, an error —
+        the queue stays as it is and the caller wakes the loop, which
+        alone owns ``EVENT_WRITE`` interest, redial and backoff.  Never
+        raises: a transport failure must not fault the component.
+        """
+        if not conn.write_lock.acquire(blocking=False):
+            return False
+        try:
+            drained = self._drain(conn)
+        except OSError:
+            return False  # the loop's own attempt meets the error and redials
+        except Exception:  # noqa: BLE001 - contained to this one connection
+            self._contained("direct write")
+            self._post(lambda: self._connection_broke(conn))
+            return True
+        finally:
+            conn.write_lock.release()
+        if drained:
+            with self._lock:
+                self.direct_writes += 1
+        # A sender that appended while we held the lock lost its try-lock
+        # and woke the loop, whose own try-lock we may have beaten too:
+        # whoever lets go of the lock looks at the queue once more.
+        return drained and not peer.outbox
+
+    def _claim_wake(self) -> bool:
+        """True when the caller must write the self-pipe byte (``_lock`` held)."""
+        if self._waked:
+            return False
+        self._waked = True
+        self.loop_wakeups += 1
+        return True
+
+    def _wake(self) -> None:
+        try:
+            self._wake_w.send(b"\x00")
+        except OSError:
+            pass
 
     def _notify(self, peer: _Peer) -> None:
         with self._lock:
             self._dirty.append(peer)
-            need_wake = not self._waked
-            self._waked = True
+            need_wake = self._claim_wake()
         if need_wake:
-            try:
-                self._wake_w.send(b"\x00")
-            except OSError:
-                pass
+            self._wake()
 
     def _post(self, command) -> None:
         """Run ``command`` on the loop thread (test and teardown hook)."""
         with self._lock:
             self._commands.append(command)
-            need_wake = not self._waked
-            self._waked = True
+            need_wake = self._claim_wake()
         if need_wake:
-            try:
-                self._wake_w.send(b"\x00")
-            except OSError:
-                pass
+            self._wake()
 
     # ---------------------------------------------------------------- status
 
@@ -300,60 +401,84 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             "bytes_received": self.bytes_received,
             "reconnects": self.reconnects,
             "reaped": self.reaped,
+            "direct_writes": self.direct_writes,
+            "loop_wakeups": self.loop_wakeups,
+            "loop_errors": self.loop_errors,
         }
 
     # ------------------------------------------------------------- event loop
 
     def _run_loop(self) -> None:
+        select = self._selector.select
         try:
+            now = time.monotonic()
             while not self._closing:
-                timeout = self._next_timeout()
-                for key, _mask in self._selector.select(timeout):
+                deadline = self._next_deadline
+                ready = select(None if deadline == _NEVER else max(0.0, deadline - now))
+                now = time.monotonic()  # the one clock reading of the iteration
+                for key, mask in ready:
                     if self._closing:
                         break
-                    key.data(key.fileobj)
-                self._process_dirty()
-                self._run_timers()
+                    target = key.data
+                    conn = target if target.__class__ is _AioConnection else None
+                    try:
+                        if conn is not None:
+                            self._on_ready(conn, mask, now)
+                        else:
+                            target()
+                    except Exception:  # noqa: BLE001 - costs one connection, not the loop
+                        self._contained("selector callback", conn)
+                if self._dirty or self._commands:
+                    self._process_dirty()
+                if now >= self._next_deadline:
+                    self._run_timers(now)
         except Exception:  # noqa: BLE001 - a dead loop must not die silently
             if not self._closing:
                 self.log.exception("aio network loop crashed")
         finally:
             self._teardown_sockets()
 
-    def _next_timeout(self) -> float:
-        now = time.monotonic()
-        timeout = 0.5 if self.idle_timeout is not None else 5.0
+    def _contained(self, what: str, conn: Optional[_AioConnection] = None) -> None:
+        """An unexpected exception (being handled) costs at most ``conn``."""
+        self.log.exception("aio network: %s failed; shedding the connection", what)
         with self._lock:
-            peers = list(self._peers.values())
-        for peer in peers:
-            conn = peer.conn
-            if conn is not None and conn.connecting:
-                timeout = min(timeout, max(0.0, conn.connect_deadline - now))
-            if peer.outbox and (conn is None or conn.closed):
-                timeout = min(timeout, max(0.0, peer.next_dial_at - now))
-        return timeout
+            self.loop_errors += 1
+        if conn is not None:
+            self._connection_broke(conn)
 
-    def _on_wakeup(self, sock: socket.socket) -> None:
+    def _pull_deadline(self, when: float) -> None:
+        if when < self._next_deadline:
+            self._next_deadline = when
+
+    def _sweep_after(self, now: float) -> float:
+        """When the next idle-reap / peer-evict sweep is due."""
+        return _NEVER if self.idle_timeout is None else now + self.idle_timeout / 4
+
+    def _on_wakeup(self) -> None:
         try:
-            sock.recv(4096)
+            self._wake_r.recv(4096)
         except (BlockingIOError, OSError):
             pass
         with self._lock:
             self._waked = False
 
     def _process_dirty(self) -> None:
-        while True:
+        while self._dirty or self._commands:
             with self._lock:
-                if not self._dirty and not self._commands:
-                    return
                 peers = list(dict.fromkeys(self._dirty))
                 self._dirty.clear()
                 commands = list(self._commands)
                 self._commands.clear()
             for command in commands:
-                command()
+                try:
+                    command()
+                except Exception:  # noqa: BLE001 - a posted command must not kill the loop
+                    self._contained("posted command")
             for peer in peers:
-                self._ensure_flushing(peer)
+                try:
+                    self._ensure_flushing(peer)
+                except Exception:  # noqa: BLE001 - costs one connection, not the loop
+                    self._contained("flush", peer.conn)
 
     def _ensure_flushing(self, peer: _Peer) -> None:
         conn = peer.conn
@@ -370,7 +495,8 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             return
         now = time.monotonic()
         if now < peer.next_dial_at:
-            return  # backoff window; the timer pass retries
+            self._pull_deadline(peer.next_dial_at)  # backoff window; the timer pass retries
+            return
         try:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             sock.setblocking(False)
@@ -386,7 +512,8 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         conn = _AioConnection(sock, FrameStreamParser(self.codec))
         conn.peer = peer
         conn.connecting = True
-        conn.connect_deadline = time.monotonic() + self.connect_timeout
+        conn.connect_deadline = now + self.connect_timeout
+        self._pull_deadline(conn.connect_deadline)
         peer.conn = conn
         self._conns.add(conn)
         self._register(conn, selectors.EVENT_WRITE)
@@ -397,6 +524,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             self.backoff_max, peer.backoff * 2 or self.backoff_base
         )
         peer.next_dial_at = time.monotonic() + peer.backoff
+        self._pull_deadline(peer.next_dial_at)
         self.log.warning("cannot connect to %s:%s", *peer.key)
 
     def _finish_connect(self, conn: _AioConnection) -> None:
@@ -407,78 +535,108 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             if peer is not None:
                 self._dial_failed(peer)
             return
-        conn.connecting = False
         conn.established_at = time.monotonic()
         # peer.backoff is deliberately NOT reset here: a peer that accepts
         # and immediately resets would otherwise be redialed at backoff_base
         # forever.  _connection_broke resets the ladder only once the
         # connection has proven stable.
-        if peer is not None:
-            peer.next_dial_at = 0.0
-            destination = Address(peer.key[0], peer.key[1])
-            hello = self.codec.frame(
-                _Hello(source=self.address, destination=destination)
-            )
-            conn.inflight.insert(0, memoryview(hello))
+        with conn.write_lock:
+            if peer is not None:
+                peer.next_dial_at = 0.0
+                destination = Address(peer.key[0], peer.key[1])
+                hello = self.codec.frame(
+                    _Hello(source=self.address, destination=destination)
+                )
+                conn.inflight.insert(0, memoryview(hello))
+            # Only now may a sender's thread write here: the hello leads.
+            conn.connecting = False
         self._register(conn, selectors.EVENT_READ | selectors.EVENT_WRITE)
         self._flush(conn)
 
     # ---------------------------------------------------------------- writing
 
     def _flush(self, conn: _AioConnection) -> None:
+        """Loop thread: write what is queued, then set ``EVENT_WRITE`` interest."""
+        if not conn.write_lock.acquire(blocking=False):
+            # A sender's thread is writing.  It looks at the outbox again
+            # after it lets go, and wakes the loop if it stops short.
+            return
+        try:
+            drained = self._drain(conn)
+        except OSError:
+            drained = None
+        finally:
+            conn.write_lock.release()
+        if drained is None:
+            self._connection_broke(conn)
+        else:
+            self._want_write(conn, not drained)
+
+    def _drain(self, conn: _AioConnection) -> bool:
+        """Write the peer's outbox to the socket; the caller holds ``write_lock``.
+
+        The one writer of a connection, whichever thread it runs on:
+        finishes the batch in flight, then folds what has queued into the
+        next one.  True when nothing is left, False when frames remain
+        (the socket refused bytes, or the connection is closed) and the
+        loop has to carry on; ``OSError`` from the socket propagates.
+        """
+        if conn.closed:
+            return False
         peer = conn.peer
         sock = conn.sock
         while True:
             if not conn.inflight:
+                # Unlocked peek (only the holder of write_lock empties an
+                # outbox): a sender that appends right after it does not
+                # get the lock we hold and wakes the loop instead.
+                if peer is None or not peer.outbox:
+                    return True
                 parts: list[tuple[int, bytes]] = []
-                if peer is not None:
-                    # A batch body must stay within codec.max_frame or the
-                    # receiver (and batch_buffers itself) refuses it, so the
-                    # batch is bounded by accumulated wire bytes as well as
-                    # message count.  The first part is always taken: a batch
-                    # of one degrades to a plain frame, whose payload
-                    # encode_payload already size-checked.
-                    budget = self.codec.max_frame - BATCH_OVERHEAD
-                    body = 0
-                    with self._lock:
-                        outbox = peer.outbox
-                        while outbox and len(parts) < self.max_batch:
-                            size = FRAME_OVERHEAD + len(outbox[0][1])
-                            if parts and body + size > budget:
-                                break
-                            parts.append(outbox.popleft())
-                            body += size
-                        if parts and self.overflow == "block":
-                            self._space.notify_all()
-                if not parts:
-                    self._want_write(conn, False)
-                    return
+                # A batch body must stay within codec.max_frame or the
+                # receiver (and batch_buffers itself) refuses it, so the
+                # batch is bounded by accumulated wire bytes as well as
+                # message count.  The first part is always taken: a batch
+                # of one degrades to a plain frame, whose payload
+                # encode_payload already size-checked.
+                budget = self.codec.max_frame - BATCH_OVERHEAD
+                body = 0
+                with self._lock:
+                    outbox = peer.outbox
+                    while outbox and len(parts) < self.max_batch:
+                        size = FRAME_OVERHEAD + len(outbox[0][1])
+                        if parts and body + size > budget:
+                            break
+                        parts.append(outbox.popleft())
+                        body += size
+                    self.batches += 1
+                    self.batched_messages += len(parts)
+                    if self.overflow == "block":
+                        self._space.notify_all()
                 try:
                     _total, buffers = self.codec.batch_buffers(parts)
-                except SerializationError:
-                    # Defense in depth: a batch the codec refuses must shed
-                    # its frames, never kill the loop thread (which would
-                    # tear down every socket for good).
+                except Exception as exc:
+                    # The frames are off the outbox and will never reach
+                    # the socket: count them, whatever was raised.
+                    with self._lock:
+                        self.dropped_frames += len(parts)
+                    if not isinstance(exc, SerializationError):
+                        raise  # contained by the caller: costs the connection
+                    # Defense in depth: a batch the codec refuses sheds its
+                    # frames and nothing else.
                     self.log.exception(
                         "dropping unsendable batch of %d frames", len(parts)
                     )
-                    with self._lock:
-                        self.dropped_frames += len(parts)
                     continue
                 conn.inflight = [memoryview(b) for b in buffers]
-                self.batches += 1
-                self.batched_messages += len(parts)
             try:
                 sent = sock.sendmsg(conn.inflight[:_IOV_CAP])
             except (BlockingIOError, InterruptedError):
-                self._want_write(conn, True)
-                return
-            except OSError:
-                self._connection_broke(conn)
-                return
-            self.bytes_sent += sent
+                return False
             conn.last_active = time.monotonic()
             self._consume_inflight(conn, sent)
+            with self._lock:
+                self.bytes_sent += sent
 
     @staticmethod
     def _consume_inflight(conn: _AioConnection, sent: int) -> None:
@@ -502,28 +660,27 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         if conn.closed or events == conn.events:
             return
         if conn.events == 0:
-            self._selector.register(
-                conn.sock, events, lambda _s, c=conn: self._on_ready(c)
-            )
+            self._selector.register(conn.sock, events, conn)
         else:
-            self._selector.modify(
-                conn.sock, events, lambda _s, c=conn: self._on_ready(c)
-            )
+            self._selector.modify(conn.sock, events, conn)
         conn.events = events
 
     # ---------------------------------------------------------------- reading
 
-    def _on_ready(self, conn: _AioConnection) -> None:
+    def _on_ready(self, conn: _AioConnection, mask: int, now: float) -> None:
         if conn.closed:
             return
         if conn.connecting:
             self._finish_connect(conn)
             return
-        self._read(conn)
-        if not conn.closed:
+        if mask & selectors.EVENT_READ:
+            self._read(conn, now)
+        # Reading makes nothing writable: flush only when the socket said
+        # so, or a batch tail is waiting (a sender's thread stopped short).
+        if not conn.closed and (mask & selectors.EVENT_WRITE or conn.inflight):
             self._flush(conn)
 
-    def _read(self, conn: _AioConnection) -> None:
+    def _read(self, conn: _AioConnection, now: float) -> None:
         sock = conn.sock
         view = self._recv_view
         while not conn.closed:
@@ -538,15 +695,18 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                 self._connection_broke(conn)
                 return
             self.bytes_received += count
-            conn.last_active = time.monotonic()
-            try:
-                messages = conn.parser.feed(view[:count])
-            except SerializationError:
-                self.log.exception("closing connection on undecodable frame")
+            conn.last_active = now
+            # Like the blocking reader, deliver what decoded before a bad
+            # frame, then close.
+            parser = conn.parser
+            for message in parser.feed(view[:count]):
+                self._deliver(message, conn)
+            if parser.failed is not None:
+                self.log.error(
+                    "closing connection on undecodable frame", exc_info=parser.failed
+                )
                 self._connection_broke(conn)
                 return
-            for message in messages:
-                self._deliver(message, conn)
             if count < _RECV_BUFFER:
                 return
 
@@ -557,10 +717,10 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                 peer = self._peers.get(key)
                 if peer is None:
                     peer = self._peers[key] = _Peer(key)
-            if conn.peer is None and (peer.conn is None or peer.conn.closed):
-                conn.peer = peer
-                peer.conn = conn
-                self._notify(peer)
+                if conn.peer is None and (peer.conn is None or peer.conn.closed):
+                    conn.peer = peer
+                    peer.conn = conn
+                    self._dirty.append(peer)  # this iteration's _process_dirty flushes it
             return
         # Keep PR-7's Address sharing on the wire-in path: collapse the
         # endpoints of every delivered message to their canonical
@@ -581,10 +741,10 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         except Exception:  # noqa: BLE001 - delivery must not kill the loop
             self.log.exception("delivery failed for %r", message)
 
-    def _on_accept(self, server: socket.socket) -> None:
+    def _on_accept(self) -> None:
         while True:
             try:
-                sock, _addr = server.accept()
+                sock, _addr = self._server.accept()
             except (BlockingIOError, InterruptedError, OSError):
                 return
             sock.setblocking(False)
@@ -598,24 +758,31 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
 
     # ----------------------------------------------------------------- timers
 
-    def _run_timers(self) -> None:
-        now = time.monotonic()
+    def _run_timers(self, now: float) -> None:
+        """Act on what is due and store the next deadline.
+
+        The only place that walks the peer table; it runs when the stored
+        deadline passes, not on every wake-up.
+        """
+        if now >= self._next_sweep:
+            self._sweep(now)
+            self._next_sweep = self._sweep_after(now)
+        self._next_deadline = self._next_sweep  # pulled earlier by what follows
         with self._lock:
             peers = list(self._peers.values())
         for peer in peers:
             conn = peer.conn
-            if conn is not None and conn.connecting and now > conn.connect_deadline:
-                self._close_conn(conn)
-                self._dial_failed(peer)
-                conn = None
-            if (
-                peer.outbox
-                and (conn is None or conn.closed)
-                and now >= peer.next_dial_at
-            ):
-                self._maybe_dial(peer)
-        if self.idle_timeout is None:
-            return
+            if conn is not None and conn.connecting:
+                if now > conn.connect_deadline:
+                    self._close_conn(conn)
+                    self._dial_failed(peer)
+                else:
+                    self._pull_deadline(conn.connect_deadline)
+            elif conn is None or conn.closed:
+                self._maybe_dial(peer)  # dials, or pulls the deadline to its backoff
+
+    def _sweep(self, now: float) -> None:
+        """Reap idle connections, evict quiet peers (every ``idle_timeout / 4``)."""
         for conn in list(self._conns):
             peer = conn.peer
             if (
@@ -642,6 +809,8 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
     # ----------------------------------------------------------------- errors
 
     def _connection_broke(self, conn: _AioConnection) -> None:
+        if conn.closed:
+            return  # already shed (a posted break can arrive after the loop's own)
         peer = conn.peer
         now = time.monotonic()
         stable = now - conn.established_at >= self.backoff_max
@@ -662,23 +831,31 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             self._maybe_dial(peer)
 
     def _close_conn(self, conn: _AioConnection) -> None:
-        if conn.closed:
-            return
-        conn.closed = True
-        conn.inflight = []
-        if conn.events:
+        # Write ownership: wait out a sender's thread that is inside
+        # sendmsg, so the descriptor is never closed under it.
+        with conn.write_lock:
+            if conn.closed:
+                return
+            conn.closed = True
+            conn.inflight = []
+            if conn.events:
+                try:
+                    self._selector.unregister(conn.sock)
+                except (KeyError, ValueError, OSError):
+                    pass
+                conn.events = 0
             try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError, OSError):
+                conn.sock.close()
+            except OSError:
                 pass
-            conn.events = 0
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
         self._conns.discard(conn)
-        if conn.peer is not None and conn.peer.conn is conn:
-            conn.peer.conn = None
+        peer = conn.peer
+        if peer is not None and peer.conn is conn:
+            peer.conn = None
+            if peer.outbox:
+                # Frames are waiting and no send may follow to redial for
+                # them: have the timer pass look at this peer.
+                self._pull_deadline(peer.next_dial_at)
 
     def _drop_connections(self) -> None:
         """Close every live connection (keeps queues; tests and chaos)."""
@@ -698,18 +875,12 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
     # ---------------------------------------------------------------- cleanup
 
     def _teardown_sockets(self) -> None:
+        for conn in list(self._conns):
+            self._close_conn(conn)
         try:
             self._selector.close()
         except OSError:
             pass
-        for conn in list(self._conns):
-            conn.closed = True
-            conn.events = 0
-            try:
-                conn.sock.close()
-            except OSError:
-                pass
-        self._conns.clear()
         for sock in (self._server, self._wake_r, self._wake_w):
             try:
                 sock.close()
@@ -720,10 +891,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         with self._lock:
             self._closing = True
             self._space.notify_all()
-        try:
-            self._wake_w.send(b"\x00")
-        except OSError:
-            pass
+        self._wake()
         self._loop.join(timeout=2.0)
         if self._loop.is_alive():
             return  # daemon thread; sockets close when it notices _closing

@@ -333,7 +333,7 @@ class FrameStreamParser:
     copy out anything they keep, which both shipped codecs do.
     """
 
-    __slots__ = ("codec", "_carry", "frames", "batches", "messages")
+    __slots__ = ("codec", "_carry", "frames", "batches", "messages", "failed")
 
     def __init__(self, codec: FrameCodec) -> None:
         self.codec = codec
@@ -341,6 +341,7 @@ class FrameStreamParser:
         self.frames = 0  # wire frames completed (a batch counts once)
         self.batches = 0  # how many of those were batch frames
         self.messages = 0  # messages decoded
+        self.failed: Optional[SerializationError] = None  # what ended the stream
 
     @property
     def pending(self) -> int:
@@ -348,7 +349,15 @@ class FrameStreamParser:
         return len(self._carry)
 
     def feed(self, data: ReadableBuffer) -> list[Message]:
-        """Consume ``data``, return every message it completed."""
+        """Consume ``data``, return every message it completed.
+
+        A malformed frame ends the stream: the messages completed before
+        it are still returned (the blocking reader delivers those too
+        before it fails), ``failed`` holds the error, and feeding the
+        parser again raises it.
+        """
+        if self.failed is not None:
+            raise self.failed
         if self._carry:
             self._carry += data
             view = memoryview(self._carry)
@@ -374,6 +383,9 @@ class FrameStreamParser:
                     out.append(self.codec.decode_payload(flags, body))
                 self.frames += 1
                 offset = end
+        except SerializationError as exc:
+            self.failed = exc
+            offset = size  # nothing after a bad frame can be trusted
         finally:
             # Retain only the unconsumed tail.  Slicing allocates a fresh
             # bytearray rather than resizing in place, so a decoder that

@@ -146,8 +146,10 @@ def test_oversized_frame_rejected():
     codec = FrameCodec(PickleCodec(), max_frame=64)
     parser = FrameStreamParser(codec)
     huge = _HEADER.pack(1 << 20, 0)
-    with pytest.raises(SerializationError):
-        parser.feed(huge)
+    assert parser.feed(huge) == []
+    assert isinstance(parser.failed, SerializationError)
+    with pytest.raises(SerializationError):  # the stream is over
+        parser.feed(b"")
 
 
 def test_truncated_batch_rejected():
@@ -155,8 +157,9 @@ def test_truncated_batch_rejected():
     batch = bytearray(codec.frame_batch(_messages(seed=1, count=3)))
     # Corrupt the inner count so the body runs out mid-parse.
     batch[_HEADER.size : _HEADER.size + 4] = (99).to_bytes(4, "big")
-    with pytest.raises(SerializationError):
-        FrameStreamParser(codec).feed(bytes(batch))
+    parser = FrameStreamParser(codec)
+    assert parser.feed(bytes(batch)) == []
+    assert isinstance(parser.failed, SerializationError)
 
 
 def test_nested_batch_rejected():
@@ -168,8 +171,24 @@ def test_nested_batch_rejected():
         + (1).to_bytes(4, "big")
         + inner
     )
-    with pytest.raises(SerializationError):
-        FrameStreamParser(codec).feed(evil)
+    parser = FrameStreamParser(codec)
+    assert parser.feed(evil) == []
+    assert isinstance(parser.failed, SerializationError)
+
+
+def test_messages_before_a_malformed_frame_are_kept():
+    """Oracle parity: the blocking reader delivers frame by frame, so the
+    good frames ahead of a bad one in the same chunk must not be lost."""
+    codec = _codec("pickle")
+    good = _messages(seed=3, count=2)
+    bad = _HEADER.pack(codec.max_frame + 1, 0)
+    buffer = codec.frame(good[0]) + codec.frame(good[1]) + bad
+    parser = FrameStreamParser(codec)
+    assert parser.feed(buffer) == good
+    assert isinstance(parser.failed, SerializationError)
+    assert parser.messages == 2
+    assert parser.frames == 2
+    assert parser.pending == 0
 
 
 def test_compact_codec_decodes_from_memoryview_and_interns():

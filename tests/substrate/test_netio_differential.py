@@ -198,3 +198,36 @@ def test_differential_recovery_after_connection_break(factory):
         assert _send_until_received(nodes[1], nodes[0], 3)
     finally:
         system.shutdown()
+
+
+@pytest.mark.parametrize("factory", [TcpNetwork, AioTcpNetwork])
+def test_differential_good_frames_before_a_bad_one_are_delivered(factory):
+    """good, good, bad in one segment: both backends deliver the two good
+    messages (the blocking reader frame by frame, the aio parser as the
+    decoded prefix of the chunk), then close the connection."""
+    import socket
+
+    system, built = _cluster(factory)
+    node, net = built["nodes"][0], built["nets"][0]
+    sender = Address("127.0.0.1", 1, node_id=7)
+    oversized = (net.codec.max_frame + 1).to_bytes(4, "big") + b"\x00"
+    segment = b"".join(
+        net.codec.frame(Datum(sender, node.address, n=n, payload=b"good"))
+        for n in (1, 2)
+    ) + oversized
+    try:
+        with socket.create_connection(
+            (node.address.host, node.address.port), timeout=10
+        ) as client:
+            client.sendall(segment)
+            assert wait_until(
+                lambda: node.by_sender.get(7) == [(1, b"good"), (2, b"good")],
+                timeout=10,
+            )
+            client.settimeout(10)
+            try:
+                assert client.recv(1) == b""  # closed by the backend
+            except ConnectionResetError:
+                pass
+    finally:
+        system.shutdown()
