@@ -18,9 +18,8 @@ Table-1 workload (same boot/settle/steady phases as
 Results land in ``BENCH_footprint.json``.  The module teardown gates the
 tree against ``BASELINE`` — the same harness run at the pre-slotting seed
 (commit 92ba864) — requiring ``REDUCTION_FLOOR`` (30%) fewer bytes/peer at
-every gated peer count, and checks that the slotting work did not perturb
-execution: the heap and wheel engines must still produce byte-identical
-``Tracer.fingerprint()`` digests on the race-analysis fixtures.
+every gated peer count.  (That slotting did not perturb execution is
+tier-1's job: ``tests/simulation/test_engine_differential.py``.)
 
 Knobs: ``REPRO_BENCH_PEERS`` (comma-separated override of the peer
 counts), ``REPRO_BENCH_FULL=1`` (extend to 4096 peers),
@@ -39,10 +38,8 @@ import tracemalloc
 import pytest
 
 from repro import ComponentDefinition
-from repro.analysis.race.fixtures import FIXTURES, default_until
 from repro.cats import CatsSimulator, Experiment, JoinNode, LookupCmd
 from repro.core.dispatch import trigger
-from repro.runtime.trace import Tracer
 from repro.simulation import Simulation
 
 from benchmarks.support import FULL, bench_config, print_table
@@ -75,10 +72,9 @@ REDUCTION_FLOOR = 0.30
 BLOCKS_PER_EVENT_CEILING = 1.0
 
 _results: dict[int, dict] = {}
-_fingerprints: dict[str, bool] = {}
 
 
-def measure_footprint(peers: int, engine: str = "wheel") -> dict:
+def measure_footprint(peers: int) -> dict:
     """Boot the Table-1 workload under tracemalloc and profile it.
 
     Phase 1 (boot): start tracing, boot ``peers`` CATS nodes 0.05 s apart
@@ -88,7 +84,7 @@ def measure_footprint(peers: int, engine: str = "wheel") -> dict:
     """
     tracemalloc.start(1)
     try:
-        simulation = Simulation(seed=7, queue_engine=engine)
+        simulation = Simulation(seed=7)
         built = {}
 
         class Main(ComponentDefinition):
@@ -131,7 +127,6 @@ def measure_footprint(peers: int, engine: str = "wheel") -> dict:
         blocks_after = sum(s.count for s in snapshot_after.statistics("filename"))
         return {
             "peers": peers,
-            "engine": engine,
             "alive": simulator.alive_count,
             "bytes_per_peer": round((boot_end - boot_start) / peers, 1),
             "steady_events": events,
@@ -143,38 +138,12 @@ def measure_footprint(peers: int, engine: str = "wheel") -> dict:
         tracemalloc.stop()
 
 
-def run_traced_fixture(name: str, engine: str, seed: int = 7) -> tuple[str, int]:
-    """Fingerprint one race-analysis fixture under ``engine`` (as in
-    tests/simulation/test_engine_differential.py)."""
-    simulation = Simulation(seed=seed, queue_engine=engine)
-    simulation.system.tracer = Tracer()
-    fixture = FIXTURES[name]
-    fixture(simulation)
-    until = default_until(fixture)
-    simulation.run(until=until if until is not None else 60.0)
-    return simulation.system.tracer.fingerprint(), simulation.events_dispatched
-
-
 @pytest.mark.parametrize("peers", PEERS)
 def test_footprint(benchmark, peers):
     result = benchmark.pedantic(measure_footprint, args=(peers,), iterations=1, rounds=1)
     _results[peers] = result
     benchmark.extra_info.update(result)
     assert result["alive"] >= peers * 0.9  # the ring actually formed
-
-
-@pytest.mark.parametrize("name", ["clean", "abd", "cats-churn"])
-def test_slotting_preserves_traces(benchmark, name):
-    """Slotting must be invisible to execution: heap and wheel still agree."""
-
-    def differential() -> bool:
-        heap_fp, heap_events = run_traced_fixture(name, "heap")
-        wheel_fp, wheel_events = run_traced_fixture(name, "wheel")
-        return heap_fp == wheel_fp and heap_events == wheel_events
-
-    identical = benchmark.pedantic(differential, iterations=1, rounds=1)
-    _fingerprints[name] = identical
-    assert identical
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -220,7 +189,6 @@ def footprint_report():
             for p in _results
             if p in BASELINE
         },
-        "fingerprints_identical": dict(_fingerprints) or None,
         "rows": [_results[p] for p in sorted(_results)],
     }
     with open(RESULTS_PATH, "w") as fh:
@@ -243,6 +211,3 @@ def footprint_report():
             peers,
             result["net_blocks_per_event"],
         )
-
-    # Trace parity: slotting changed object layout, not behaviour.
-    assert all(_fingerprints.values()), _fingerprints

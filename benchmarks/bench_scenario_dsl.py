@@ -47,10 +47,8 @@ def test_event_queue_throughput(benchmark):
         q = EventQueue()
         for n in range(10_000):
             q.schedule(float(n % 97), lambda: None)
-        while True:
-            entry = q.pop_due()
-            if entry is None:
-                break
+        while q.pop_batch() is not None:
+            pass
 
     benchmark(churn)
 

@@ -1,4 +1,4 @@
-"""Table 1: simulated-time compression vs. number of peers, per queue engine.
+"""Table 1: simulated-time compression vs. number of peers.
 
 The paper simulates CATS for 4275 s of simulated time and reports the
 ratio simulated-time / wall-clock-time ("time compression"):
@@ -15,20 +15,13 @@ Absolute ratios are far below the JVM numbers — pure-Python event dispatch
 is the substrate — so the crossover to 1x lands at a smaller N; see
 EXPERIMENTS.md.
 
-The run doubles as the regression guard for the simulation hot-loop
-overhaul: every peer count is measured under both queue engines —
-``wheel`` (timer wheel + batched dispatch, the default) and ``heap`` (the
-pre-overhaul oracle, ``REPRO_SIM_QUEUE=heap``) — on the *same* workload
-(determinism makes the executed traces identical, so events/sec is an
-apples-to-apples ratio).  Results land in ``BENCH_table1.json``; the module
-teardown asserts the wheel engine clears ``FLOOR_RATIO`` (1.5x) events/sec
-over the oracle at ``FLOOR_PEERS``.  Speedups are computed from CPU time
-(``time.process_time``, minimum over ``REPS`` windows) because wall time on
-shared CI runners is too noisy to gate on.
+Each size times ``REPS`` consecutive steady windows and keeps the one with
+the least CPU time (``time.process_time``), which rejects transient
+machine-load spikes; results land in ``BENCH_table1.json``.
 
 Knobs: ``REPRO_SIM_HORIZON`` (steady-window length per rep, default 15 s),
 ``REPRO_BENCH_PEERS`` (comma-separated override of the peer counts),
-``REPRO_BENCH_REPS`` (windows per engine at the floor size, default 3),
+``REPRO_BENCH_REPS`` (windows per size, default 3),
 ``REPRO_BENCH_FULL=1`` (extend to 512/1024 peers).
 """
 
@@ -53,13 +46,6 @@ if os.environ.get("REPRO_BENCH_PEERS"):
     PEERS = [int(n) for n in os.environ["REPRO_BENCH_PEERS"].split(",")]
 else:
     PEERS = [32, 64, 128, 256] + ([512, 1024] if FULL else [])
-ENGINES = ("heap", "wheel")
-
-#: Wheel-over-heap events/sec floor, asserted at FLOOR_PEERS (CPU time,
-#: min over REPS windows).  The issue's target is 2x on quiet hardware;
-#: 1.5x is the regression floor that must hold even on noisy runners.
-FLOOR_PEERS = 256
-FLOOR_RATIO = 1.5
 
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_table1.json")
 
@@ -68,11 +54,11 @@ PAPER_ROWS = {
     1024: 28.31, 2048: 11.74, 4096: 4.96, 8192: 2.01,
 }
 
-_results: dict[tuple[int, str], dict] = {}
+_results: dict[int, dict] = {}
 
 
-def run_simulation(peers: int, engine: str = "wheel", reps: int = 1) -> dict:
-    simulation = Simulation(seed=7, queue_engine=engine)
+def run_simulation(peers: int, reps: int = 1) -> dict:
+    simulation = Simulation(seed=7)
     built = {}
 
     class Main(ComponentDefinition):
@@ -92,10 +78,7 @@ def run_simulation(peers: int, engine: str = "wheel", reps: int = 1) -> dict:
     simulation.run(until=simulation.now() + 10.0)
 
     # Steady-state windows: periodic protocols + a background lookup load
-    # proportional to the system size (as in the paper's scenario).  With a
-    # fixed seed the trace is engine-independent, so window k dispatches the
-    # same events under both engines; ``reps`` consecutive windows are timed
-    # and the minimum taken, which rejects transient machine-load spikes.
+    # proportional to the system size (as in the paper's scenario).
     lookup_interval = max(0.01, 2.0 / peers)
     next_lookup = simulation.now()
     windows = []
@@ -122,7 +105,6 @@ def run_simulation(peers: int, engine: str = "wheel", reps: int = 1) -> dict:
     best = min(windows, key=lambda w: w["cpu_s"])
     return {
         "peers": peers,
-        "engine": engine,
         "alive": simulator.alive_count,
         "simulated_s": HORIZON,
         "reps": len(windows),
@@ -137,92 +119,52 @@ def run_simulation(peers: int, engine: str = "wheel", reps: int = 1) -> dict:
 
 
 @pytest.mark.parametrize("peers", PEERS)
-@pytest.mark.parametrize("engine", ENGINES)
-def test_table1_time_compression(benchmark, peers, engine):
-    reps = REPS if peers == FLOOR_PEERS else 1
+def test_table1_time_compression(benchmark, peers):
     result = benchmark.pedantic(
-        run_simulation, args=(peers, engine, reps), iterations=1, rounds=1
+        run_simulation, args=(peers, REPS), iterations=1, rounds=1
     )
-    _results[(peers, engine)] = result
+    _results[peers] = result
     benchmark.extra_info.update(result)
     assert result["alive"] >= peers * 0.9  # the ring actually formed
 
 
-def _speedups() -> dict[int, float]:
-    """events/sec (CPU) ratio wheel-over-heap per peer count measured."""
-    ratios = {}
-    for peers in sorted({p for p, _ in _results}):
-        heap = _results.get((peers, "heap"))
-        wheel = _results.get((peers, "wheel"))
-        if heap and wheel:
-            ratios[peers] = wheel["events_per_cpu_s"] / heap["events_per_cpu_s"]
-    return ratios
-
-
 @pytest.fixture(scope="module", autouse=True)
 def table1_report():
-    """Assemble Table 1, persist BENCH_table1.json, gate the speedup floor.
+    """Assemble Table 1 and persist BENCH_table1.json.
 
     Runs as module teardown so it works under --benchmark-only.
     """
     yield
     if not _results:
         return
-    speedups = _speedups()
     rows = []
-    for peers, engine in sorted(_results):
-        r = _results[(peers, engine)]
+    for peers in sorted(_results):
+        r = _results[peers]
         paper = PAPER_ROWS.get(peers, "-")
         rows.append(
             (
                 peers,
-                engine,
                 f"{r['compression']:.2f}x",
                 f"{paper}x" if paper != "-" else "-",
                 f"{r['events_per_cpu_s']:.0f}",
-                f"{speedups[peers]:.2f}x" if engine == "wheel" and peers in speedups else "-",
                 r["events"],
             )
         )
     print_table(
         f"Table 1 — time compression over {HORIZON:.0f}s simulated",
-        ("peers", "engine", "compression", "paper(4275s, JVM)", "ev/cpu-s", "speedup", "events"),
+        ("peers", "compression", "paper(4275s, JVM)", "ev/cpu-s", "events"),
         rows,
     )
     payload = {
         "benchmark": "table1_time_compression",
         "horizon_s": HORIZON,
-        "reps_at_floor": REPS,
-        "floor_peers": FLOOR_PEERS,
-        "floor_ratio": FLOOR_RATIO,
-        "speedup_wheel_over_heap": {str(p): round(r, 3) for p, r in speedups.items()},
-        "rows": [_results[key] for key in sorted(_results)],
+        "reps": REPS,
+        "rows": [_results[peers] for peers in sorted(_results)],
     }
     with open(RESULTS_PATH, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
-    # Same-workload check: with a fixed seed the executed trace is
-    # engine-independent, so window k must dispatch the same event count
-    # under both engines — otherwise the ratio compares different work.
-    for peers in _speedups():
-        heap = _results[(peers, "heap")]
-        wheel = _results[(peers, "wheel")]
-        assert heap["window_events"] == wheel["window_events"], peers
-
     # Shape check: compression decreases monotonically with peer count.
-    for engine in ENGINES:
-        ordered = [
-            _results[(p, engine)]["compression"]
-            for p in sorted({p for p, e in _results if e == engine})
-        ]
-        if len(ordered) >= 2:
-            assert all(a > b for a, b in zip(ordered, ordered[1:])), (engine, ordered)
-
-    # Regression floor: the overhauled engine must beat the oracle on
-    # events/sec at the floor size.
-    if FLOOR_PEERS in speedups:
-        assert speedups[FLOOR_PEERS] >= FLOOR_RATIO, (
-            f"wheel engine is only {speedups[FLOOR_PEERS]:.2f}x the heap oracle "
-            f"at {FLOOR_PEERS} peers (floor {FLOOR_RATIO}x)"
-        )
+    ordered = [_results[peers]["compression"] for peers in sorted(_results)]
+    assert all(a > b for a, b in zip(ordered, ordered[1:])), ordered

@@ -12,10 +12,9 @@ Checks (rule ids in :mod:`repro.analysis.findings`):
 
 - **W001** required ports with no channel on their outside face;
 - **W002** subscriptions no trigger site can reach through the channel
-  graph — the reachability walk mirrors the propagation geometry of
-  :func:`repro.core.dispatch.arrive` and the conservative treatment of
-  held/unplugged channels in
-  :func:`repro.core.dispatch.leads_to_subscriber`;
+  graph — the reachability walk follows the propagation rules stated in
+  :mod:`repro.core.dispatch` (what :func:`repro.core.routing.compile_plan`
+  flattens) and treats held channels as conductive;
 - **W003** duplicate subscriptions (same handler, face, event type);
 - **W004** channel anomalies (duplicate parallel channels, held channels,
   unplugged ends).
@@ -153,11 +152,11 @@ def _check_required_ports(cores: list[ComponentCore]) -> list[Finding]:
 def _reachable_faces(start: PortFace, direction: Direction) -> frozenset[int]:
     """Face ids an event emitted at ``start`` with ``direction`` is delivered to.
 
-    Mirrors :func:`repro.core.dispatch.arrive`: deliver where the direction
-    matches the face's incoming side, cross component boundaries, forward
-    along channels.  Held channels forward (queued events are delivered on
-    resume — same conservatism as ``leads_to_subscriber``); unplugged ends
-    stop the walk (the queued events have no destination *in this tree*).
+    Follows the propagation rules of :mod:`repro.core.dispatch`: deliver
+    where the direction matches the face's incoming side, cross component
+    boundaries, forward along channels.  Held channels forward (queued
+    events are delivered on resume); unplugged ends stop the walk (the
+    queued events have no destination *in this tree*).
     """
     seen: set[int] = set()
     delivered: set[int] = set()

@@ -24,7 +24,7 @@ import threading
 from collections import deque
 from typing import Callable, Optional
 
-from . import dispatch, routing
+from . import routing
 from .errors import ConnectionError as KConnectionError
 from .event import Direction, Event
 from .port import PortFace, check_faces_connectable
@@ -45,9 +45,8 @@ class Channel:
 
     Channels are the single largest object population of a big simulation
     (every connect allocates one), so the footprint matters: the class is
-    slotted, and the reconfiguration queue and pruning cache — needed only
-    on held/unplugged channels and walker-mode dispatch respectively — are
-    allocated lazily on first use.
+    slotted, and the reconfiguration queue — needed only on held/unplugged
+    channels — is allocated lazily on first use.
     """
 
     __slots__ = (
@@ -55,12 +54,10 @@ class Channel:
         "positive_end",
         "negative_end",
         "selector",
-        "prune",
         "held",
         "destroyed",
         "_queue",
         "_lock",
-        "_prune_cache",
     )
 
     def __init__(
@@ -68,27 +65,17 @@ class Channel:
         face_a: PortFace,
         face_b: PortFace,
         selector: Optional[Selector] = None,
-        prune: bool = True,
     ) -> None:
         provider, requirer = check_faces_connectable(face_a, face_b)
         self.port_type = provider.port_type
         self.positive_end: Optional[PortFace] = provider  # emits POSITIVE into channel
         self.negative_end: Optional[PortFace] = requirer  # emits NEGATIVE into channel
         self.selector = selector
-        self.prune = prune
         self.held = False
         self.destroyed = False
         #: Reconfiguration queue; None until the first event is held back.
         self._queue: Optional[deque[tuple[Event, Direction]]] = None
         self._lock = threading.RLock()
-        # Walker-mode pruning cache, stamped with the generation it was
-        # built under; a stale stamp drops the whole table so entries for
-        # event types that never recur cannot accumulate.  Compiled
-        # dispatch does not use it (pruning is baked into the plans).
-        # None until the first walker-mode reachability query.
-        self._prune_cache: Optional[
-            tuple[int, dict[tuple[type[Event], Direction], bool]]
-        ] = None
         provider.attach_channel(self)
         requirer.attach_channel(self)
         _bump_generation(provider)
@@ -121,37 +108,11 @@ class Channel:
                     self._queue = deque()
                 self._queue.append((event, direction))
                 return
-        system = destination.owner.system
-        if system is not None and system.compiled_dispatch:
-            # Continue through the destination face's compiled plan.  This
-            # is the continuation point for selector channels (which always
-            # stay live steps in plans) and for any event that reaches a
-            # live channel through the reference walker of a plan-enabled
-            # system.  Pruning is inherent: an unreachable subtree compiles
-            # to an empty plan.
-            routing.execute(destination, event, direction)
-            return
-        if self.prune and not self._reachable(destination, type(event), direction):
-            return
-        dispatch.arrive(destination, event, direction)
-
-    def _reachable(
-        self, destination: PortFace, event_type: type[Event], direction: Direction
-    ) -> bool:
-        system = destination.owner.system
-        if system is None or not system.prune_channels:
-            return True
-        generation = system.generation
-        stamp, cache = self._prune_cache or (-1, None)
-        if stamp != generation:
-            cache = {}
-            self._prune_cache = (generation, cache)
-        cached = cache.get((event_type, direction))
-        if cached is not None:
-            return cached
-        result = dispatch.leads_to_subscriber(destination, event_type, direction)
-        cache[(event_type, direction)] = result
-        return result
+        # Continue through the destination face's compiled plan (selector
+        # channels always stay live steps in plans, so this is where they
+        # rejoin one).  Pruning is inherent: an unreachable subtree
+        # compiles to an empty plan.
+        routing.execute(destination, event, direction)
 
     def _bump(self) -> None:
         """Invalidate compiled plans after a state change on this channel."""
@@ -200,7 +161,7 @@ class Channel:
                     return
             if hook is not None:
                 hook("release", self, (event,))
-            dispatch.route(destination, event, direction)
+            routing.execute(destination, event, direction)
 
     def unplug(self, face: PortFace) -> None:
         """Detach ``face`` from this channel; traffic toward it is queued."""

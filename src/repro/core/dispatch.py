@@ -3,10 +3,10 @@
 The propagation rules, given an event with direction ``d`` arriving at a
 port face:
 
-1. Deliver the event to every subscription at the face whose event type
-   matches and whose incoming direction is ``d`` (matched handlers are
-   captured *now* and enqueued on the subscriber's FIFO work queue —
-   paper Fig. 7 semantics: all compatible handlers run sequentially).
+1. Deliver the event to every component with a subscription at the face
+   whose event type matches and whose incoming direction is ``d``: the
+   event goes on the subscriber's FIFO work queue, and its compatible
+   handlers run sequentially when it is executed (paper Fig. 7).
 2. Continue propagation:
 
    - at an *outside* face, if ``d`` crosses the boundary inward, recurse on
@@ -17,20 +17,16 @@ port face:
 
 As an optimization (explicitly called out by the paper), forwarding along a
 channel is skipped when no compatible subscription is transitively reachable
-through it; see :func:`leads_to_subscriber`.
+through it.
 
-Two interchangeable engines implement these rules:
-
-- the **recursive walker** below (:func:`arrive`/:func:`deliver`), which
-  re-derives the route for every event — retained as the executable
-  reference semantics, the compiler input, and the oracle for the
-  differential test suite;
-- **compiled dispatch plans** (:mod:`repro.core.routing`), which flatten
-  the walk once per topology generation and replay it as a routing table.
-
-:func:`route` picks the engine from ``ComponentSystem.compiled_dispatch``
-(plans by default; ``REPRO_COMPILED_DISPATCH=0`` or
-``ComponentSystem(compiled_dispatch=False)`` selects the walker).
+The rules are not walked per event: :mod:`repro.core.routing` flattens the
+walk from a ``(face, event type, direction)`` once per topology generation
+into a :class:`~repro.core.routing.DeliveryPlan` — the pruning falls out of
+compilation, since a subtree without a compatible subscription contributes
+no steps — and :func:`trigger` replays that plan.  Handlers are matched at
+execution time, not at delivery (Kompics port-queue semantics), so
+unsubscribing stops already-delivered but not-yet-executed events from
+being handled — the paper's reply-only-once example (§2.2) relies on this.
 """
 
 from __future__ import annotations
@@ -39,10 +35,9 @@ from typing import TYPE_CHECKING
 
 from . import routing
 from .errors import PortTypeError
-from .event import Direction, Event
+from .event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .component import ComponentCore
     from .port import PortFace
 
 #: Event-sealing hook, installed by :mod:`repro.analysis.sanitizer` while
@@ -101,124 +96,10 @@ def _trigger_slow(event: Event, face: "PortFace") -> None:
             f"{direction.value} direction of {port.port_type.__name__} "
             f"(at {face!r})"
         )
-    system = port.owner.system
-    if system is not None and system.compiled_dispatch:
-        plan = routing.plan_for(face, type(event), direction)
-        fast = face._fast
-        if fast is None or fast[0] != plan.generation:
-            fast = (plan.generation, {})
-            face._fast = fast
-        fast[1][type(event)] = plan
-        plan.execute(event)
-    else:
-        arrive(face, event, direction)
-
-
-def route(face: "PortFace", event: Event, direction: Direction) -> None:
-    """Propagate an in-flight event from ``face`` with the active engine.
-
-    Compiled dispatch plans by default; the recursive reference walker when
-    the owning system was built with ``compiled_dispatch=False``.
-    """
-    system = face.port.owner.system
-    if system is not None and system.compiled_dispatch:
-        routing.execute(face, event, direction)
-    else:
-        arrive(face, event, direction)
-
-
-def arrive(face: "PortFace", event: Event, direction: Direction) -> None:
-    """Propagate an in-flight event from ``face`` per the rules above.
-
-    This is the recursive *reference walker*: the executable specification
-    that :func:`repro.core.routing.compile_plan` flattens and that the
-    differential tests replay as the oracle.
-    """
-    deliver(face, event, direction)
-    port = face.port
-    inward = direction is port.boundary_inward
-    if not face.is_inside:
-        if inward:
-            arrive(port.inside, event, direction)
-        else:
-            for channel in tuple(face.channels):
-                channel.forward(event, direction, face)
-    else:
-        if inward:
-            for channel in tuple(face.channels):
-                channel.forward(event, direction, face)
-        else:
-            arrive(port.outside, event, direction)
-
-
-def deliver(face: "PortFace", event: Event, direction: Direction) -> None:
-    """Enqueue work on every component with a matching subscription at ``face``.
-
-    Handlers are *matched again at execution time* (Kompics port-queue
-    semantics): unsubscribing prevents already-delivered but not-yet-executed
-    events from being handled — the paper's reply-only-once example (§2.2)
-    relies on this.
-    """
-    subscriptions = face.subscriptions
-    if direction is not face.incoming or not subscriptions:
-        return
-    event_type = type(event)
-    if len(subscriptions) == 1:
-        # Allocation-free fast path for the dominant single-subscription
-        # face: no snapshot tuple, no owner-dedup dict.
-        subscription = subscriptions[0]
-        if issubclass(event_type, subscription.event_type):
-            subscription.owner.receive_event(event, face)
-        return
-    owners: dict["ComponentCore", None] = {}
-    for subscription in tuple(subscriptions):
-        if issubclass(event_type, subscription.event_type):
-            owners.setdefault(subscription.owner)
-    for owner in owners:
-        owner.receive_event(event, face)
-
-
-def leads_to_subscriber(
-    face: "PortFace",
-    event_type: type[Event],
-    direction: Direction,
-    _visited: set[int] | None = None,
-) -> bool:
-    """Return True if an event of ``event_type`` arriving at ``face`` can
-    transitively reach a compatible subscription.
-
-    Used by channels to prune forwarding (paper section 2.3: "our runtime
-    system avoids forwarding events on channels that would not lead to any
-    compatible subscribed handlers").  Held channels are conservatively
-    treated as reachable since queued events are delivered on resume.
-    """
-    visited = _visited if _visited is not None else set()
-    key = id(face)
-    if key in visited:
-        return False
-    visited.add(key)
-
-    if direction is face.incoming and any(
-        issubclass(event_type, s.event_type) for s in face.subscriptions
-    ):
-        return True
-
-    port = face.port
-    inward = direction is port.boundary_inward
-    if not face.is_inside:
-        if inward:
-            return leads_to_subscriber(port.inside, event_type, direction, visited)
-        channels = face.channels
-    else:
-        if not inward:
-            return leads_to_subscriber(port.outside, event_type, direction, visited)
-        channels = face.channels
-    for channel in channels:
-        if channel.held:
-            return True
-        other = channel.other_end(face)
-        if other is None:
-            return True  # unplugged end queues events; conservatively reachable
-        if leads_to_subscriber(other, event_type, direction, visited):
-            return True
-    return False
+    plan = routing.plan_for(face, type(event), direction)
+    fast = face._fast
+    if fast is None or fast[0] != plan.generation:
+        fast = (plan.generation, {})
+        face._fast = fast
+    fast[1][type(event)] = plan
+    plan.execute(event)

@@ -1,21 +1,20 @@
 """Compiled dispatch plans: generation-invalidated routing tables.
 
-:mod:`repro.core.dispatch` defines event dissemination as a recursive walk
-over port faces and channels (paper section 2.3).  That walk re-derives the
-same routing decision for every triggered event: it re-crosses the same
-component boundaries, re-scans the same subscription lists with
-``issubclass``, and re-runs graph reachability behind a per-channel cache to
-apply the paper's pruning optimization.  The topology only changes when a
-reconfiguration command runs, so all of that work is loop-invariant between
-topology changes.
+:mod:`repro.core.dispatch` states event dissemination as a recursive rule
+over port faces and channels (paper section 2.3).  Applied per event, that
+rule would re-derive the same routing decision every time: re-cross the
+same component boundaries, re-scan the same subscription lists with
+``issubclass``, re-run graph reachability for the paper's pruning
+optimization.  The topology only changes when a reconfiguration command
+runs, so all of that work is loop-invariant between topology changes.
 
-This module compiles the walk once per *topology generation*.  For a
+This module applies the rule once per *topology generation*.  For a
 ``(face, event type, direction)`` key it flattens the recursive
 arrive/deliver/forward traversal into an immutable :class:`DeliveryPlan`:
 
-- an ordered sequence of **delivery steps** ``(owner, face)`` — the exact
-  ``ComponentCore.receive_event`` calls the walker would make, in the
-  walker's depth-first order (so per-component FIFO order is preserved);
+- an ordered sequence of **delivery steps** ``(owner, face)`` — the
+  ``ComponentCore.receive_event`` calls of the traversal, in its
+  depth-first order (so per-component FIFO order is preserved);
 - **live steps** ``(channel, source face)`` for the channel hops that must
   still run live logic at event time: selector channels (the predicate
   sees the event value), and held or unplugged channels, which compile to
@@ -26,11 +25,11 @@ arrive/deliver/forward traversal into an immutable :class:`DeliveryPlan`:
   through the *destination face's own compiled plan*.
 
 Plans are cached on the face they start from, keyed on the owning system's
-``generation`` counter.  Every operation that changes routing already bumps
-that counter (subscribe/unsubscribe, connect/disconnect, hold/resume,
+``generation`` counter.  Every operation that changes routing bumps that
+counter (subscribe/unsubscribe, connect/disconnect, hold/resume,
 plug/unplug, component create/destroy), so a single integer comparison
-both validates the cache and subsumes the walker's per-channel pruning
-cache: stale tables are dropped wholesale, never scanned entry by entry.
+validates the cache: stale tables are dropped wholesale, never scanned
+entry by entry.
 
 The §2.3 pruning optimization falls out of compilation for free: a channel
 hop whose destination subtree contains no compatible subscription (and no
@@ -39,10 +38,8 @@ held/unplugged queue-stop) contributes no steps, so the compiled plan for a
 
 Concurrency note: plan execution is lock-free on the inlined path.  A
 reconfiguration racing with an in-flight trigger from another thread may be
-observed by that one event as either before or after the command — the same
-window the walker has between snapshotting ``face.channels`` and taking the
-channel lock.  The generation check happens once per trigger, at plan
-lookup.
+observed by that one event as either before or after the command.  The
+generation check happens once per trigger, at plan lookup.
 """
 
 from __future__ import annotations
@@ -142,11 +139,11 @@ def compile_plan(
 ) -> DeliveryPlan:
     """Flatten the arrive/deliver/forward walk from ``face`` into a plan.
 
-    The traversal mirrors :func:`repro.core.dispatch.arrive` step for step,
-    inlining across boundary crossings and live, selector-free, fully
+    The traversal follows the rules of :mod:`repro.core.dispatch` step for
+    step, inlining across boundary crossings and live, selector-free, fully
     plugged channels.  Diamond topologies (two paths converging on one
-    face) keep the walker's delivery multiplicity — only a true cycle,
-    which would not terminate under the walker either, is cut.
+    face) deliver once per path — only a true cycle, on which the rules
+    never terminate, is cut.
     """
     if generation is None:
         system = face.port.owner.system
@@ -165,12 +162,12 @@ def _flatten(
 ) -> None:
     key = id(face)
     if key in path:
-        return  # cycle guard; the recursive walker would never terminate here
+        return  # cycle guard; the rules never terminate here
     path.add(key)
     try:
         if direction is face.incoming and face.subscriptions:
-            # Same per-face owner dedup as dispatch.deliver (dict preserves
-            # subscription order).
+            # One delivery per subscribed owner, however many of its
+            # handlers match (dict preserves subscription order).
             owners: dict = {}
             for subscription in tuple(face.subscriptions):
                 if issubclass(event_type, subscription.event_type):
@@ -210,8 +207,7 @@ def plan_for(face: "PortFace", event_type: type[Event], direction: Direction) ->
 
     The per-face cache is a ``(generation, {key: plan})`` pair.  On a
     generation mismatch the whole table is replaced, so stale entries for
-    event types that are never triggered again cannot accumulate (the leak
-    the walker's per-channel pruning cache had).
+    event types that are never triggered again cannot accumulate.
     """
     system = face.port.owner.system
     generation = system.generation if system is not None else 0

@@ -15,7 +15,6 @@ exception to stderr and halts the system, exactly as the paper describes;
 from __future__ import annotations
 
 import itertools
-import os
 import random as random_module
 import sys
 import threading
@@ -44,8 +43,6 @@ class ComponentSystem:
         seed: Optional[int] = None,
         clock: Optional[Clock] = None,
         fault_policy: str = "halt",
-        prune_channels: bool = True,
-        compiled_dispatch: Optional[bool] = None,
         name: str = "kompics",
     ) -> None:
         if fault_policy not in FAULT_POLICIES:
@@ -59,13 +56,6 @@ class ComponentSystem:
         self.random = random_module.Random(seed)
         self.seed = seed
         self.fault_policy = fault_policy
-        self.prune_channels = prune_channels
-        if compiled_dispatch is None:
-            compiled_dispatch = os.environ.get("REPRO_COMPILED_DISPATCH", "1") != "0"
-        #: Route events through generation-invalidated compiled plans
-        #: (:mod:`repro.core.routing`) instead of the recursive reference
-        #: walker.  ``REPRO_COMPILED_DISPATCH=0`` flips the default.
-        self.compiled_dispatch = compiled_dispatch
         self.roots: list[ComponentCore] = []
         self.components: set[ComponentCore] = set()
         self.unhandled_faults: list["Fault"] = []
@@ -186,11 +176,11 @@ class ComponentSystem:
     def bump_generation(self) -> None:
         """Start a new topology generation (epoch) after a routing change.
 
-        Compiled dispatch plans and walker-mode pruning caches are keyed on
-        the generation, so bumping it invalidates every cached route in one
-        integer write.  Callers: subscribe/unsubscribe, connect/disconnect,
-        hold/resume, plug/unplug, component create/destroy.  The counter is
-        drawn from :func:`itertools.count` so concurrent bumps from racing
+        Compiled dispatch plans are keyed on the generation, so bumping it
+        invalidates every cached route in one integer write.  Callers:
+        subscribe/unsubscribe, connect/disconnect, hold/resume, plug/unplug,
+        component create/destroy.  The counter is drawn from
+        :func:`itertools.count` so concurrent bumps from racing
         reconfigurations each observe a strictly fresh generation.
         """
         self._generation = next(self._generation_counter)

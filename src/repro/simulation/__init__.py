@@ -24,7 +24,7 @@ from .distributions import (
     uniform_int,
 )
 from .emulator import EmulatedNetwork, EmulatorCore, emulator_of
-from .event_queue import EventQueue, HeapEventQueue, ScheduledEntry, make_event_queue
+from .event_queue import EventQueue, ScheduledEntry, make_event_queue
 from .wheel import TimerWheel
 from .latency import (
     ConstantLatency,
@@ -44,7 +44,6 @@ __all__ = [
     "EmulatorCore",
     "EventQueue",
     "Exponential",
-    "HeapEventQueue",
     "KeyUniform",
     "LatencyModel",
     "Normal",

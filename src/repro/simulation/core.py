@@ -11,28 +11,26 @@ simulation scheduler: execute ready components until quiescence, then
 advance virtual time to the next queued event and dispatch it.  Given the
 same seed and the same component code, every run is identical.
 
-Two run-loop engines share that contract (see ``docs/internals.md``,
-"Simulation hot path"):
-
-- the default *batched* loop pops every entry due at the next timestamp in
-  one queue operation and dispatches them back-to-back — draining the
-  scheduler after each entry, so the executed trace is identical to the
-  entry-at-a-time loop;
-- the *legacy* loop (one pop per dispatch) runs whenever exactness of pop
-  granularity matters: the ``REPRO_SIM_QUEUE=heap`` oracle engine, an
-  installed ``picker`` (schedule exploration), or a ``max_dispatches``
-  budget.
+The loop pops every entry due at the next timestamp in one queue operation
+and dispatches them back-to-back, draining the scheduler after each entry
+(see ``docs/internals.md``, "Simulation hot path").  A ``max_dispatches``
+budget or a :meth:`stop` that lands inside such a batch parks the
+undispatched tail; the next :meth:`Simulation.run` resumes it before it
+touches the queue.  With a schedule-explorer ``picker`` installed on the
+queue, every live entry at the current timestamp — including those a
+dispatch has just scheduled there — is a candidate for the next pick.
 """
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Optional
 
 from ..core.errors import SimulationError
 from ..runtime.clock import VirtualClock
 from ..runtime.scheduler import ManualScheduler
 from ..runtime.system import ComponentSystem
-from .event_queue import HeapEventQueue, make_event_queue
+from .event_queue import make_event_queue
 
 QUEUE_SERVICE = "simulation_event_queue"
 
@@ -52,45 +50,25 @@ class Simulation:
         self,
         seed: int = 0,
         fault_policy: str = "raise",
-        prune_channels: bool = True,
-        compiled_dispatch: Optional[bool] = None,
         name: str = "simulation",
-        queue_engine: Optional[str] = None,
     ) -> None:
         self.clock = VirtualClock()
         self.scheduler = ManualScheduler()
-        #: ``"wheel"`` (default) or ``"heap"`` (the reference oracle);
-        #: None reads ``REPRO_SIM_QUEUE``.
-        self.queue = make_event_queue(queue_engine)
-        self.queue_engine = "heap" if isinstance(self.queue, HeapEventQueue) else "wheel"
-        # The deterministic runtime dispatches through the same compiled
-        # plans as the production system: plan compilation depends only on
-        # the topology, never on time or scheduling, so simulated traces
-        # are engine-independent (the differential suite pins this).
+        self.queue = make_event_queue()
         self.system = ComponentSystem(
             scheduler=self.scheduler,
             clock=self.clock,
             seed=seed,
             fault_policy=fault_policy,
-            prune_channels=prune_channels,
-            compiled_dispatch=compiled_dispatch,
             name=name,
         )
         self.system.register_service(QUEUE_SERVICE, self.queue)
-        if self.queue_engine == "heap":
-            # The oracle engine is the pre-wheel simulator end to end: the
-            # entry-at-a-time loop *and* the generic locked execution paths
-            # (run_to_quiescence/execute, condition-locked ready/idle).
-            # Differential tests then pin the whole new engine, and the
-            # benchmark ratio measures the whole overhaul.  Must be set
-            # before bootstrap: component cores cache the flag.
-            self.system._single_threaded = False
         self._stop_requested = False
         self.events_dispatched = 0
-        # Same-timestamp entries not yet dispatched when stop() interrupted
-        # a batch; the next run() resumes them before touching the queue.
-        self._pending_batch: Optional[list] = None
-        self._pending_index = 0
+        # Same-timestamp entries not yet dispatched when stop() or the
+        # budget interrupted a batch; the next run() resumes them before
+        # touching the queue.
+        self._pending_batch: list = []
 
     # ------------------------------------------------------------- scheduling
 
@@ -119,46 +97,48 @@ class Simulation:
         ``"quiescent"``  — no ready components and no future events;
         ``"horizon"``    — the next event lies beyond ``until``;
         ``"stopped"``    — :meth:`stop` was called;
-        ``"budget"``     — ``max_dispatches`` timed events were dispatched.
+        ``"budget"``     — ``events_dispatched`` (cumulative across runs)
+        has reached ``max_dispatches``.
         """
         self._stop_requested = False
-        if (
-            self.queue_engine != "wheel"
-            or self.queue.picker is not None
-            or max_dispatches is not None
-        ):
-            return self._run_legacy(until, max_dispatches)
-        return self._run_batched(until)
-
-    def _run_batched(self, until: Optional[float]) -> str:
-        """Batched timed dispatch: one queue pop per timestamp.
-
-        Equivalent to the legacy loop entry-for-entry — each batch entry is
-        re-checked for cancellation, dispatched through the race hook when
-        installed, and followed by a full scheduler drain — so executed
-        traces (and ``Tracer.fingerprint()``) are byte-identical.
-        """
         queue = self.queue
         clock = self.clock
         drain = self.scheduler.drain
+        budget = inf if max_dispatches is None else max_dispatches
         drain()
         if self._stop_requested:
             return "stopped"
-        batch = self._pending_batch or ()
-        index = self._pending_index
-        self._pending_batch = None
-        dispatched = self.events_dispatched
-        fired = 0
+        batch = self._pending_batch
+        self._pending_batch = []
+        index = 0
+        started = dispatched = self.events_dispatched
         try:
             while True:
+                picker = queue.picker
                 size = len(batch)
                 while index < size:
-                    entry = batch[index]
-                    index += 1
-                    if entry.cancelled:
-                        continue
+                    if dispatched >= budget:
+                        self._pending_batch = batch[index:]
+                        return "budget"
+                    if picker is None:
+                        entry = batch[index]
+                        index += 1
+                        if entry.cancelled:
+                            continue
+                    else:
+                        # Schedule exploration: the candidates are all live
+                        # entries at this timestamp, so absorb the bucket a
+                        # dispatch may have scheduled here meanwhile.  The
+                        # pick leaves the batch, so ``index`` stays 0.
+                        batch = [e for e in batch if not e.cancelled]
+                        more = queue.pop_batch(clock.now())
+                        if more is not None and more[1] is not None:
+                            batch += more[1]
+                        if not batch:
+                            break
+                        entry = batch.pop(picker(batch) if len(batch) > 1 else 0)
+                        index, size = 0, len(batch)
                     dispatched += 1
-                    fired += 1
                     hook = _race_dispatch_entry
                     if hook is None:
                         entry.action()
@@ -166,10 +146,10 @@ class Simulation:
                         hook(entry)
                     drain()
                     if self._stop_requested:
-                        if index < size:
-                            self._pending_batch = list(batch)
-                            self._pending_index = index
+                        self._pending_batch = batch[index:]
                         return "stopped"
+                if dispatched >= budget:
+                    return "budget"
                 popped = queue.pop_batch(until)
                 if popped is None:
                     return "quiescent"
@@ -181,42 +161,7 @@ class Simulation:
                 clock.advance_to(time)
         finally:
             self.events_dispatched = dispatched
-            queue.fired_total += fired
-
-    def _run_legacy(
-        self, until: Optional[float], max_dispatches: Optional[int]
-    ) -> str:
-        """The original entry-at-a-time loop (oracle / picker / budget)."""
-        pending = self._pending_batch
-        if pending is not None:
-            # A batch interrupted by stop() under the batched loop (only the
-            # wheel engine batches): re-queue the undispatched tail at its
-            # original (time, sequence) so nothing is lost or reordered.
-            self._pending_batch = None
-            for entry in pending[self._pending_index:]:
-                if not entry.cancelled:
-                    self.queue._append(entry)
-        while True:
-            self.scheduler.run_to_quiescence()
-            if self._stop_requested:
-                return "stopped"
-            if max_dispatches is not None and self.events_dispatched >= max_dispatches:
-                return "budget"
-            next_time = self.queue.peek_time()
-            if next_time is None:
-                return "quiescent"
-            if until is not None and next_time > until:
-                self.clock.advance_to(until)
-                return "horizon"
-            entry = self.queue.pop_due()
-            assert entry is not None
-            self.clock.advance_to(entry.time)
-            self.events_dispatched += 1
-            hook = _race_dispatch_entry
-            if hook is None:
-                entry.action()
-            else:
-                hook(entry)
+            queue.fired_total += dispatched - started
 
     # -------------------------------------------------------------- profiling
 

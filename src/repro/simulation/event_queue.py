@@ -6,18 +6,11 @@ equal timestamps fire in insertion order, which (together with the FIFO
 component scheduler and the seeded RNG) makes whole-system simulation fully
 deterministic and reproducible.
 
-Two engines implement the same contract:
-
-- :class:`EventQueue` (the default): same-timestamp entries share one FIFO
-  *bucket*, buckets are indexed by a hierarchical
-  :class:`~repro.simulation.wheel.TimerWheel`, cancellation unlinks in
-  O(1), ``__len__``/``__bool__`` read a live-entry counter, and
-  ``pop_batch`` hands the whole earliest bucket to the run loop in one
-  operation;
-- :class:`HeapEventQueue`: the original binary-heap implementation, kept
-  verbatim as the determinism oracle (``REPRO_SIM_QUEUE=heap``) — the
-  differential tests assert byte-identical ``Tracer.fingerprint()`` between
-  the two.
+Same-timestamp entries share one FIFO *bucket*; buckets are indexed by a
+hierarchical :class:`~repro.simulation.wheel.TimerWheel`; cancellation
+unlinks in O(1); ``__len__``/``__bool__`` read a live-entry counter; and
+``pop_batch`` hands the whole earliest bucket to the run loop in one
+operation.
 
 Two opt-in hooks support the concurrency analysis in
 :mod:`repro.analysis.race` (both None/unset by default, costing one
@@ -34,9 +27,7 @@ is-None test):
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import os
 from typing import Callable, Optional, Sequence
 
 from .wheel import TimerWheel
@@ -61,11 +52,8 @@ class ScheduledEntry:
         #: only; None on the default path).
         self.stamp = None
         #: owning same-timestamp bucket while queued in an
-        #: :class:`EventQueue`; None once popped, or under the heap engine.
+        #: :class:`EventQueue`; None once popped.
         self.bucket = None
-
-    def __lt__(self, other: "ScheduledEntry") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -79,17 +67,15 @@ class ScheduledEntry:
 class _TimeBucket:
     """All entries scheduled at one exact timestamp, in insertion order.
 
-    ``head`` is the index of the first un-popped entry (single pops consume
-    from the front without shifting the list); ``live`` counts entries that
-    are neither popped nor cancelled.  ``loc`` is written by the wheel.
+    ``live`` counts the entries not yet cancelled; ``loc`` is written by
+    the wheel.
     """
 
-    __slots__ = ("time", "entries", "head", "live", "queue", "loc")
+    __slots__ = ("time", "entries", "live", "queue", "loc")
 
     def __init__(self, time: float, queue: "EventQueue") -> None:
         self.time = time
         self.entries: list[ScheduledEntry] = []
-        self.head = 0
         self.live = 0
         self.queue = queue
         self.loc = 0
@@ -105,10 +91,10 @@ class EventQueue:
         self._live = 0
         self.scheduled_total = 0
         self.fired_total = 0
-        #: Optional same-timestamp chooser (schedule exploration): called
-        #: with the list of non-cancelled entries sharing the earliest
-        #: timestamp, returns the index of the entry to fire.  None (the
-        #: default) keeps strict insertion order.
+        #: Optional same-timestamp chooser (schedule exploration), consulted
+        #: by ``Simulation.run``: called with the list of non-cancelled
+        #: entries sharing the earliest timestamp, returns the index of the
+        #: entry to fire.  None (the default) keeps strict insertion order.
         self.picker: Optional[Callable[[Sequence[ScheduledEntry]], int]] = None
 
     # ------------------------------------------------------------- scheduling
@@ -179,16 +165,15 @@ class EventQueue:
             for entry in bucket.entries:
                 entry.bucket = None
             bucket.entries = []
-        elif bucket.live * 2 < len(bucket.entries) - bucket.head:
+        elif bucket.live * 2 < len(bucket.entries):
             # Compact once tombstones outnumber live entries in the bucket.
             survivors = []
-            for entry in bucket.entries[bucket.head:]:
+            for entry in bucket.entries:
                 if entry.cancelled:
                     entry.bucket = None
                 else:
                     survivors.append(entry)
             bucket.entries = survivors
-            bucket.head = 0
 
     # ---------------------------------------------------------------- popping
 
@@ -199,8 +184,8 @@ class EventQueue:
         ``(time, None)`` — *without popping* — when ``until`` is given and
         the earliest timestamp lies beyond it.  The entries are detached: a
         cancellation between pop and dispatch only flips ``entry.cancelled``
-        (the run loop re-checks it per entry, preserving the heap engine's
-        pop-time semantics).
+        (the run loop re-checks it per entry, so an entry cancelled by an
+        earlier entry of its own batch never fires).
         """
         popped = self._wheel.pop(until)
         if popped is None:
@@ -210,50 +195,15 @@ class EventQueue:
             return time, None
         del self._buckets[time]
         entries = bucket.entries
-        head = bucket.head
-        if bucket.live == len(entries) - head:
-            batch = entries[head:] if head else entries
+        if bucket.live == len(entries):
+            batch = entries
         else:
-            batch = [e for e in entries[head:] if not e.cancelled]
+            batch = [e for e in entries if not e.cancelled]
         self._live -= bucket.live
         for entry in entries:
             entry.bucket = None
         bucket.entries = []
         return time, batch
-
-    def pop_due(self) -> Optional[ScheduledEntry]:
-        """Pop the earliest non-cancelled entry, or None if empty.
-
-        With a ``picker`` installed, all non-cancelled entries at the
-        earliest timestamp are candidates and the picker selects which one
-        fires; the rest stay queued unchanged.
-        """
-        time = self._wheel.peek()
-        if time is None:
-            return None
-        bucket = self._buckets[time]
-        entries = bucket.entries
-        if self.picker is None:
-            index = bucket.head
-            while entries[index].cancelled:  # live >= 1 by bucket invariant
-                index += 1
-            entry = entries[index]
-            bucket.head = index + 1
-        else:
-            due = [e for e in entries[bucket.head:] if not e.cancelled]
-            entry = due[self.picker(due) if len(due) > 1 else 0]
-            entries.remove(entry)
-        bucket.live -= 1
-        self._live -= 1
-        entry.bucket = None
-        if bucket.live == 0:
-            del self._buckets[time]
-            self._wheel.remove(time, bucket)
-            for leftover in bucket.entries:
-                leftover.bucket = None
-            bucket.entries = []
-        self.fired_total += 1
-        return entry
 
     # ------------------------------------------------------------- inspection
 
@@ -274,89 +224,6 @@ class EventQueue:
         return stats
 
 
-class HeapEventQueue:
-    """The original deterministic min-heap of timed actions.
-
-    Kept verbatim as the reference oracle for the wheel engine
-    (``REPRO_SIM_QUEUE=heap``): cancelled entries tombstone until their
-    deadline, ``__len__`` scans, and pops pay Python-level comparisons.
-    """
-
-    def __init__(self) -> None:
-        self._heap: list[ScheduledEntry] = []
-        self._sequence = itertools.count()
-        self.scheduled_total = 0
-        self.fired_total = 0
-        #: Same-timestamp chooser; see :attr:`EventQueue.picker`.
-        self.picker: Optional[Callable[[Sequence[ScheduledEntry]], int]] = None
-
-    def schedule(self, at: float, action: Callable[[], None]) -> ScheduledEntry:
-        """Schedule ``action`` at absolute virtual time ``at``."""
-        entry = ScheduledEntry(at, next(self._sequence), action)
-        stamp = _race_stamp_entry
-        if stamp is not None:
-            stamp(entry)
-        heapq.heappush(self._heap, entry)
-        self.scheduled_total += 1
-        return entry
-
-    def reschedule(self, entry: ScheduledEntry, at: float) -> ScheduledEntry:
-        """Re-arm semantics of :meth:`EventQueue.reschedule` on the heap
-        engine: allocates a fresh entry (the heap cannot reuse objects)."""
-        return self.schedule(at, entry.action)
-
-    def pop_due(self) -> Optional[ScheduledEntry]:
-        """Pop the earliest non-cancelled entry, or None if empty.
-
-        With a ``picker`` installed, all non-cancelled entries at the
-        earliest timestamp are candidates and the picker selects which one
-        fires; the rest are pushed back unchanged.
-        """
-        if self.picker is None:
-            while self._heap:
-                entry = heapq.heappop(self._heap)
-                if not entry.cancelled:
-                    self.fired_total += 1
-                    return entry
-            return None
-        while self._heap:
-            earliest = self._heap[0].time
-            due: list[ScheduledEntry] = []
-            while self._heap and self._heap[0].time == earliest:
-                entry = heapq.heappop(self._heap)
-                if not entry.cancelled:
-                    due.append(entry)
-            if not due:
-                continue  # every entry at this timestamp was cancelled
-            chosen = due.pop(self.picker(due) if len(due) > 1 else 0)
-            for entry in due:
-                heapq.heappush(self._heap, entry)
-            self.fired_total += 1
-            return chosen
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
-
-    def __len__(self) -> int:
-        return sum(1 for entry in self._heap if not entry.cancelled)
-
-    def __bool__(self) -> bool:
-        return self.peek_time() is not None
-
-
-def make_event_queue(engine: Optional[str] = None):
-    """Build the event queue for ``engine``.
-
-    ``engine`` is ``"wheel"`` (default), ``"heap"`` (the reference oracle)
-    or None, which reads ``REPRO_SIM_QUEUE`` from the environment.
-    """
-    if engine is None:
-        engine = os.environ.get("REPRO_SIM_QUEUE", "wheel") or "wheel"
-    if engine == "wheel":
-        return EventQueue()
-    if engine == "heap":
-        return HeapEventQueue()
-    raise ValueError(f"unknown event-queue engine {engine!r} (wheel|heap)")
+def make_event_queue() -> EventQueue:
+    """A fresh, empty event queue (what :class:`Simulation` is built on)."""
+    return EventQueue()

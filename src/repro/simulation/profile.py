@@ -111,7 +111,7 @@ class SimulationProfiler:
 
         The residual (wall minus handler time) is the simulation driver
         itself — queue operations, clock advances, scheduler bookkeeping —
-        which is exactly what the wheel/batching engine targets.
+        which is what the wheel-indexed queue and the batched loop keep small.
         """
         wall = self.wall_seconds
         handlers = self.handler_seconds
@@ -119,7 +119,7 @@ class SimulationProfiler:
         lines = [
             f"simulation profile: {wall:.3f}s wall, "
             f"{handlers:.3f}s in handlers ({_share(handlers, wall)}), "
-            f"{events} timed events, engine={self.simulation.queue_engine}",
+            f"{events} timed events",
             "",
             f"  {'component definition':<32} {'seconds':>9} {'share':>7} {'execs':>9}",
         ]

@@ -8,7 +8,7 @@ unchanged under virtual time (the paper's core decoupling claim).
 Periodic timers are the simulator's hottest schedule source (failure
 detectors, shuffles, stabilization), so each period re-arms through
 ``queue.reschedule`` with a reusable callable — no fresh closure or entry
-allocation per tick on the wheel engine.
+allocation per tick.
 """
 
 from __future__ import annotations

@@ -161,7 +161,7 @@ def test_channel_pruning_skips_subscriberless_destinations():
             super().__init__()
             self.port = self.provides(PingPort)
 
-    system = make_system(prune_channels=True)
+    system = make_system()
     built = {}
 
     def build(scaffold):

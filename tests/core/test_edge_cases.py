@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import ComponentDefinition, ComponentSystem, ManualScheduler, handles
-from repro.core.dispatch import leads_to_subscriber, trigger
+from repro.core import routing
+from repro.core.dispatch import trigger
 from repro.core.errors import ConfigurationError
 from repro.core.event import Direction
 
@@ -23,8 +24,8 @@ from tests.kit import (
 
 def test_channel_cycle_does_not_hang_reachability():
     """Two components connected by two parallel channels form a cycle in
-    the reachability graph; pruning must terminate."""
-    system = make_system(prune_channels=True)
+    the reachability graph; plan compilation must terminate."""
+    system = make_system()
     built = {}
 
     def build(scaffold):
@@ -41,7 +42,9 @@ def test_channel_cycle_does_not_hang_reachability():
     # delivery; each pong also fans out twice.
     assert len(built["server"].definition.pings) == 4
     face = built["client"].core.port(PingPort, provided=False).outside
-    assert leads_to_subscriber(face, Pong, Direction.POSITIVE) in (True, False)
+    client = built["client"].core
+    plan = routing.compile_plan(face, Pong, Direction.POSITIVE)
+    assert plan.delivery_targets() == [(client, client.port(PingPort, provided=False).inside)]
     system.shutdown()
 
 

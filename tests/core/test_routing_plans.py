@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from repro import ComponentDefinition, ComponentSystem, Direction, Start
+from repro import ComponentDefinition, Direction, Start
 from repro.core import routing
-from repro.core.dispatch import leads_to_subscriber
 from repro.simulation import Simulation
 
 from tests.kit import (
@@ -114,12 +113,13 @@ def test_empty_plan_is_compiled_pruning():
     built = build(system, wire)
     server_inside = built["server"].core.port(PingPort, True).inside
     plan = routing.plan_for(server_inside, Pong, Direction.POSITIVE)
-    # Nobody subscribes to Pong: the whole fan-out compiles away, exactly
-    # where the walker's leads_to_subscriber pruning would refuse to forward.
-    assert plan.steps == ()
+    # Nobody subscribes to Pong: the whole fan-out compiles away (the
+    # paper's §2.3 pruning), at the source and behind every channel.
+    assert plan.steps == () and plan.deliveries == ()
     for i in range(8):
         deaf_outside = built[f"deaf{i}"].required(PingPort)
-        assert not leads_to_subscriber(deaf_outside, Pong, Direction.POSITIVE)
+        behind = routing.compile_plan(deaf_outside, Pong, Direction.POSITIVE)
+        assert behind.steps == () and behind.deliveries == ()
 
 
 def test_plan_preserves_subtype_matching():
@@ -257,29 +257,6 @@ def test_selector_channels_stay_live_steps():
 # ------------------------------------------------------------- cache hygiene
 
 
-def test_walker_prune_cache_drops_stale_generations():
-    system = make_system(compiled_dispatch=False)
-    built = echo_pair(system)
-    server, channel = built["server"].definition, built["channel"]
-    subtypes = [type(f"PingVariant{i}", (Ping,), {}) for i in range(32)]
-    for i, subtype in enumerate(subtypes):
-        server.trigger(Pong(i), server.port)  # exercise the prune path
-        built["client"].definition.trigger(subtype(i), built["client"].definition.port)
-    settle(system)
-    stamp, cache = channel._prune_cache
-    assert stamp == system.generation
-    assert len(cache) >= 2
-
-    # A topology change makes every cached entry stale; the next forward
-    # must drop the whole table instead of letting dead keys accumulate.
-    built["root"].create(DeafClient)
-    server.trigger(Pong(99), server.port)
-    settle(system)
-    stamp, cache = channel._prune_cache
-    assert stamp == system.generation
-    assert set(cache) == {(Pong, Direction.POSITIVE)}
-
-
 def test_face_plan_tables_reset_on_generation_change():
     system = make_system()
     built = echo_pair(system)
@@ -318,8 +295,7 @@ def test_single_subscription_fast_path_respects_type_mismatch():
 
 
 def test_simulation_runs_on_compiled_plans():
-    sim = Simulation(seed=3, compiled_dispatch=True)
-    assert sim.system.compiled_dispatch
+    sim = Simulation(seed=3)
     built = {}
 
     def wire(scaffold):
@@ -336,16 +312,8 @@ def test_simulation_runs_on_compiled_plans():
     assert list(routing.cached_plans(client_face))  # plans were compiled
 
 
-def test_compiled_dispatch_env_kill_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILED_DISPATCH", "0")
-    assert not ComponentSystem(fault_policy="record").compiled_dispatch
-    monkeypatch.setenv("REPRO_COMPILED_DISPATCH", "1")
-    assert ComponentSystem(fault_policy="record").compiled_dispatch
-    assert ComponentSystem(fault_policy="record", compiled_dispatch=False).compiled_dispatch is False
-
-
 def test_control_events_route_through_plans():
-    system = make_system(compiled_dispatch=True)
+    system = make_system()
     built = echo_pair(system)
     child = built["root"].create(Collector, count=0)
     built["root"].start_child(child)

@@ -87,18 +87,21 @@ class TestStoreProperties:
             )
 
 
+def pop_all(queue):
+    """Every live entry, in firing order (one ``pop_batch`` per timestamp)."""
+    entries = []
+    while (popped := queue.pop_batch()) is not None:
+        entries.extend(popped[1])
+    return entries
+
+
 class TestEventQueueProperties:
     @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), max_size=80))
     def test_pop_order_is_nondecreasing(self, times):
         queue = EventQueue()
         for t in times:
             queue.schedule(t, lambda: None)
-        popped = []
-        while True:
-            entry = queue.pop_due()
-            if entry is None:
-                break
-            popped.append(entry.time)
+        popped = [entry.time for entry in pop_all(queue)]
         assert popped == sorted(popped)
         assert len(popped) == len(times)
 
@@ -117,10 +120,9 @@ class TestEventQueueProperties:
         for entry, cancel in scheduled:
             if cancel:
                 entry.cancel()
-        fired = 0
-        while queue.pop_due() is not None:
-            fired += 1
-        assert fired == sum(1 for _e, cancel in scheduled if not cancel)
+        fired = pop_all(queue)
+        assert not any(entry.cancelled for entry in fired)
+        assert len(fired) == sum(1 for _e, cancel in scheduled if not cancel)
 
     @given(st.lists(st.just(1.0), min_size=2, max_size=20))
     def test_equal_times_fire_in_insertion_order(self, times):
@@ -129,9 +131,6 @@ class TestEventQueueProperties:
         entries = [
             queue.schedule(t, (lambda i=i: order.append(i))) for i, t in enumerate(times)
         ]
-        while True:
-            entry = queue.pop_due()
-            if entry is None:
-                break
+        for entry in pop_all(queue):
             entry.action()
         assert order == list(range(len(times)))

@@ -1,32 +1,36 @@
 """Differential test: compiled dispatch plans vs the reference walker.
 
-Two *twin* systems are built from the same deterministic op sequence — one
-routing through :mod:`repro.core.routing` plans, one through the recursive
-:func:`repro.core.dispatch.arrive` walker.  The sequence grows arbitrary
-hierarchies (flat components, delegation chains), rewires them with the
-full reconfiguration vocabulary (connect/disconnect, hold/resume,
-plug/unplug, subscribe/unsubscribe, destroy) and triggers events at random
-faces throughout.
+A deterministic op sequence grows arbitrary hierarchies (flat components,
+delegation chains), rewires them with the full reconfiguration vocabulary
+(connect/disconnect, hold/resume, plug/unplug, subscribe/unsubscribe,
+destroy) and triggers events at random faces throughout.  The oracle is
+the side-effect-free recursive walk of ``tests/reference/walker.py``, which
+re-derives every route from the live topology.  Three comparisons:
 
-Equivalence asserted after every settle and at the end:
-
-- the delivered ``(owner, face)`` multiset is identical,
-- per-component delivery order is identical (FIFO work-queue semantics),
-- every channel holds the same number of queued events (queue-stop
-  semantics for held/unplugged channels match), and
-- every component has the same number of pending work items.
+- after **every op** that touches the topology, for every face the ops can
+  trigger on and both selector outcomes, the cached plan — expanded
+  through its live steps the way ``Channel.forward`` continues them —
+  lists the walker's deliveries and queue-stops, in the walker's order (a
+  plan that survived a topology change it should not have shows up here);
+- every **trigger**, the harness's and every handler's, makes exactly the
+  ``ComponentCore.receive_event`` calls the walker lists, in order, and
+  queues the event on exactly the channels the walker stops at;
+- every **resume** flushes its queue into exactly the deliveries the walker
+  lists for the queued events.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 
-from repro import ComponentDefinition, ComponentSystem, ManualScheduler
-from repro.core import dispatch
+from repro import ComponentDefinition, ComponentSystem, Direction, ManualScheduler
+from repro.core import dispatch, routing
 from repro.core.component import ComponentCore
 
 from tests.kit import Collector, EchoServer, FancyPing, Ping, PingPort, Pong, Scaffold
+from tests.reference.walker import walk
 
 CASES = 500
 OPS_PER_CASE = 28
@@ -66,50 +70,97 @@ def even_selector(event) -> bool:
     return getattr(event, "n", 0) % 2 == 0
 
 
-@contextmanager
-def record_deliveries(logs: dict):
-    """Patch ComponentCore.receive_event to log every (owner, face) delivery."""
-    original = ComponentCore.receive_event
+def replay_plan(face, event, direction):
+    """What executing the cached plan for ``event`` at ``face`` does, in
+    the walker's vocabulary."""
+    plan = routing.plan_for(face, type(event), direction)
+    if plan.deliveries is not None:
+        for receive, target in plan.deliveries:
+            yield ("deliver", receive.__self__, target)
+        return
+    for tag, a, b in plan.steps:
+        if tag == routing.DELIVER:
+            yield ("deliver", a, b)
+            continue
+        channel, source = a, b  # live step: Channel.forward at event time
+        if channel.destroyed or (channel.selector is not None and not channel.selector(event)):
+            continue
+        destination = channel.other_end(source)
+        if channel.held or destination is None:
+            yield ("queue", channel)
+        else:
+            yield from replay_plan(destination, event, direction)
 
-    def recording(self, event, face):
-        logs[self.system.name].append(
-            (
-                self.name,
-                type(event).__name__,
-                getattr(event, "n", None),
-                face.port.port_type.__name__,
-                face.port.is_provided,
-                face.is_inside,
+
+class Recorder:
+    """Checks every trigger and resume against the walker while installed."""
+
+    def __init__(self) -> None:
+        self.delivered: list[tuple] = []
+        self.channels: list = []  # the World's, for queue-growth accounting
+
+    def queued(self) -> Counter:
+        return Counter({c: c.queued for c in self.channels if c.queued})
+
+    def check(self, expected: list[tuple], act, flushed=Counter()) -> None:
+        """``act()`` delivers and queues what ``expected`` lists, no more."""
+        mark, queued = len(self.delivered), self.queued()
+        act()
+        assert self.delivered[mark:] == [step[1:] for step in expected if step[0] == "deliver"]
+        stops = Counter(step[1] for step in expected if step[0] == "queue")
+        assert self.queued() == queued - flushed + stops
+
+    def trigger(self, event, face) -> None:
+        expected = list(walk(face, event, face.trigger_direction))
+        self.check(expected, lambda: dispatch.trigger(event, face))
+
+    def resume(self, channel) -> None:
+        expected, flushed = [], Counter()
+        for event, direction in tuple(channel._queue or ()):
+            destination = (
+                channel.negative_end if direction is Direction.POSITIVE else channel.positive_end
             )
-        )
-        original(self, event, face)
+            if destination is None:
+                break  # still unplugged on that side: the rest stays queued
+            flushed[channel] += 1
+            expected.extend(walk(destination, event, direction))
+        self.check(expected, channel.resume, flushed)
 
-    ComponentCore.receive_event = recording
-    try:
-        yield
-    finally:
-        ComponentCore.receive_event = original
+    @contextmanager
+    def installed(self):
+        """Route every handler's ``self.trigger`` through :meth:`trigger` and
+        log every ``receive_event`` (plans prebind it at compile time, so
+        install before the system is built)."""
+        receive = ComponentCore.receive_event
+        trigger = ComponentDefinition.__dict__["trigger"]  # the staticmethod object
+        delivered = self.delivered
+
+        def recording(core, event, face):
+            delivered.append((core, face))
+            receive(core, event, face)
+
+        ComponentCore.receive_event = recording
+        ComponentDefinition.trigger = staticmethod(self.trigger)
+        try:
+            yield self
+        finally:
+            ComponentCore.receive_event = receive
+            ComponentDefinition.trigger = trigger
 
 
 class World:
     """One system plus an index of its components and channels by creation order."""
 
-    def __init__(self, compiled: bool) -> None:
+    def __init__(self, recorder: Recorder) -> None:
+        self.recorder = recorder
         self.system = ComponentSystem(
-            scheduler=ManualScheduler(),
-            fault_policy="raise",
-            seed=11,
-            compiled_dispatch=compiled,
-            name="compiled" if compiled else "walker",
+            scheduler=ManualScheduler(), fault_policy="raise", seed=11, name="compiled"
         )
         built = {}
         self.system.bootstrap(Scaffold, lambda scaffold: built.update(root=scaffold))
         self.root: Scaffold = built["root"]
         self.components: list[tuple[object, str]] = []  # (facade, kind)
-        self.channels: list[object] = []
-
-    # Every op_* method must make *identical* state-dependent decisions in
-    # both twins; all guards read only twin-identical state.
+        self.channels: list[object] = recorder.channels
 
     def alive(self, kind_filter=None):
         return [
@@ -153,7 +204,7 @@ class World:
     def op_resume(self, pick: int) -> None:
         channel = self.pick_channel(pick)
         if channel is not None and channel.held:
-            channel.resume()
+            self.recorder.resume(channel)
 
     def op_unplug(self, pick: int, side: int) -> None:
         channel = self.pick_channel(pick)
@@ -222,19 +273,25 @@ class World:
             definition = facade.definition
             definition.trigger(Pong(n), definition.port)
         else:  # wrapper: push a request in from the parent side
-            dispatch.trigger(Ping(n), facade.provided(PingPort))
+            self.recorder.trigger(Ping(n), facade.provided(PingPort))
 
     def op_settle(self) -> None:
         self.system.await_quiescence()
 
-    def snapshot(self):
-        queued = [c.queued for c in self.channels if not c.destroyed]
-        pending = sorted(
-            (facade.core.name, facade.core.pending_events)
-            for facade, _ in self.components
-            if facade.core.state.value != "destroyed"
-        )
-        return queued, pending
+    def check_plans(self) -> None:
+        """Cached plans vs the walker, at every face an op can trigger on."""
+        for _, facade, kind in self.alive():
+            if kind in REQUIRER_KINDS:
+                face, events = facade.definition.port, (Ping(0), FancyPing(1))
+            elif kind == "echo":
+                face, events = facade.definition.port, (Pong(0), Pong(1))
+            else:
+                face, events = facade.provided(PingPort), (Ping(0), FancyPing(1))
+            direction = face.trigger_direction
+            for event in events:
+                assert list(replay_plan(face, event, direction)) == list(
+                    walk(face, event, direction)
+                ), (kind, event)
 
 
 def make_ops(seed: int):
@@ -278,33 +335,16 @@ def make_ops(seed: int):
     return ops
 
 
-def apply_op(world: World, op) -> None:
-    getattr(world, f"op_{op[0]}")(*op[1:])
-
-
 def run_case(seed: int) -> int:
-    ops = make_ops(seed)
-    logs = {"compiled": [], "walker": []}
-    with record_deliveries(logs):
-        compiled, walker = World(compiled=True), World(compiled=False)
-        for op in ops:
-            apply_op(compiled, op)
-            apply_op(walker, op)
-            if op[0] == "settle":
-                assert compiled.snapshot() == walker.snapshot(), (seed, op)
-
-    delivered_compiled, delivered_walker = logs["compiled"], logs["walker"]
-    # Identical (owner, face) delivery multiset...
-    assert sorted(delivered_compiled) == sorted(delivered_walker), seed
-    # ...and identical per-component delivery order (FIFO semantics).
-    for name in {entry[0] for entry in delivered_compiled}:
-        assert [e for e in delivered_compiled if e[0] == name] == [
-            e for e in delivered_walker if e[0] == name
-        ], (seed, name)
-    assert compiled.snapshot() == walker.snapshot(), seed
-    compiled.system.scheduler.shutdown(wait=False)
-    walker.system.scheduler.shutdown(wait=False)
-    return len(delivered_compiled)
+    recorder = Recorder()
+    with recorder.installed():
+        world = World(recorder)
+        for op in make_ops(seed):
+            getattr(world, f"op_{op[0]}")(*op[1:])
+            if op[0] not in ("trigger", "settle"):  # those leave the topology alone
+                world.check_plans()
+    world.system.scheduler.shutdown(wait=False)
+    return len(recorder.delivered)
 
 
 def test_differential_smoke_case_delivers_something():

@@ -146,6 +146,10 @@ class IdentitySink(ComponentDefinition):
         self.dedup = dedup
         self.processed = 0
         self._seen: set[int] = set()
+        # Processed pokes stay alive: the id() of a freed one can be handed
+        # to the next decoded frame, and the planted bug would then vanish
+        # on whichever run the two threads interleave that way.
+        self._kept: list[Poke] = []
         self.network = self.requires(Network)
         self.subscribe(self.on_poke, self.network, event_type=Poke)
 
@@ -155,6 +159,7 @@ class IdentitySink(ComponentDefinition):
         if key in self._seen:
             return
         self._seen.add(key)
+        self._kept.append(poke)
         self.processed += 1
 
 

@@ -1,10 +1,10 @@
 """Unit tests for the wheel-backed simulation event queue.
 
-Pins the properties the hot-loop overhaul introduced: O(1) live-entry
-``len``/``bool``, immediate unlinking of cancelled entries, lazy bucket
-compaction, batched popping (``pop_batch``), allocation-free ``reschedule``,
-and that the analysis hooks (``picker``, ``_race_stamp_entry``) still work
-on the new engine.
+Pins O(1) live-entry ``len``/``bool``, immediate unlinking of cancelled
+entries, lazy bucket compaction, batched popping (``pop_batch``),
+allocation-free ``reschedule`` and the ``_race_stamp_entry`` analysis hook.
+(The ``picker`` hook is consulted by the run loop: see
+``test_simulation_api.py``.)
 """
 
 from __future__ import annotations
@@ -12,42 +12,31 @@ from __future__ import annotations
 import pytest
 
 from repro.simulation import event_queue as eq_mod
-from repro.simulation.event_queue import EventQueue, HeapEventQueue, make_event_queue
+from repro.simulation.event_queue import EventQueue, make_event_queue
 
 
 def nop() -> None:
     pass
 
 
-# --------------------------------------------------------------- construction
-
-
-def test_make_event_queue_engines(monkeypatch):
-    assert isinstance(make_event_queue("wheel"), EventQueue)
-    assert isinstance(make_event_queue("heap"), HeapEventQueue)
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "heap")
-    assert isinstance(make_event_queue(), HeapEventQueue)
-    monkeypatch.setenv("REPRO_SIM_QUEUE", "")
-    assert isinstance(make_event_queue(), EventQueue)
-    with pytest.raises(ValueError):
-        make_event_queue("splay")
+def drain(queue):
+    """Fire everything, one ``pop_batch`` per timestamp."""
+    while (popped := queue.pop_batch()) is not None:
+        for entry in popped[1]:
+            entry.action()
 
 
 # ------------------------------------------------------------------- ordering
 
 
-@pytest.mark.parametrize("engine", ["wheel", "heap"])
-def test_fifo_within_equal_timestamps(engine):
-    queue = make_event_queue(engine)
+def test_fifo_within_equal_timestamps():
+    queue = make_event_queue()
+    assert isinstance(queue, EventQueue)
     fired = []
     for name in "abc":
         queue.schedule(1.0, lambda name=name: fired.append(name))
     queue.schedule(0.5, lambda: fired.append("first"))
-    while True:
-        entry = queue.pop_due()
-        if entry is None:
-            break
-        entry.action()
+    drain(queue)
     assert fired == ["first", "a", "b", "c"]
 
 
@@ -70,7 +59,6 @@ def test_len_is_live_count_not_debris():
     assert stats["buckets"] == 0
     assert stats["count"] == 0
     assert stats["far_live"] == 0
-    assert queue.pop_due() is None
     assert queue.pop_batch() is None
 
 
@@ -134,13 +122,13 @@ def test_pop_batch_until_peeks_without_popping():
     assert queue.pop_batch() is None
 
 
-def test_pop_due_skips_tombstones_in_place():
+def test_pop_batch_skips_tombstones():
     queue = EventQueue()
     a = queue.schedule(1.0, nop)
     b = queue.schedule(1.0, nop)
     a.cancel()
-    assert queue.pop_due() is b
-    assert queue.pop_due() is None
+    assert queue.pop_batch() == (1.0, [b])
+    assert queue.pop_batch() is None
 
 
 # ---------------------------------------------------------------- reschedule
@@ -170,29 +158,13 @@ def test_reschedule_rejects_queued_entries():
 # ------------------------------------------------------------- analysis hooks
 
 
-@pytest.mark.parametrize("engine", ["wheel", "heap"])
-def test_picker_chooses_among_equal_timestamps(engine):
-    queue = make_event_queue(engine)
-    fired = []
-    for name in "abc":
-        queue.schedule(1.0, lambda name=name: fired.append(name))
-    queue.picker = lambda due: len(due) - 1  # always pick the newest
-    while True:
-        entry = queue.pop_due()
-        if entry is None:
-            break
-        entry.action()
-    assert fired == ["c", "b", "a"]
-
-
-@pytest.mark.parametrize("engine", ["wheel", "heap"])
-def test_race_stamp_hook_runs_on_schedule_and_reschedule(engine, monkeypatch):
+def test_race_stamp_hook_runs_on_schedule_and_reschedule(monkeypatch):
     stamped = []
     monkeypatch.setattr(eq_mod, "_race_stamp_entry", stamped.append)
-    queue = make_event_queue(engine)
+    queue = EventQueue()
     entry = queue.schedule(1.0, nop)
     assert stamped == [entry]
-    popped = queue.pop_due()
+    _, (popped,) = queue.pop_batch()
     queue.reschedule(popped, 2.0)
     assert len(stamped) == 2
 
@@ -200,11 +172,15 @@ def test_race_stamp_hook_runs_on_schedule_and_reschedule(engine, monkeypatch):
 # ------------------------------------------------------------------- counters
 
 
-def test_scheduled_and_fired_totals():
+def test_scheduled_total_counts_schedules_and_reschedules():
     queue = EventQueue()
     for _ in range(5):
         queue.schedule(1.0, nop)
-    queue.schedule(2.0, nop)
+    late = queue.schedule(2.0, nop)
     assert queue.scheduled_total == 6
-    queue.pop_due()  # fired_total is run-loop-maintained for pop_batch,
-    assert queue.fired_total == 1  # but pop_due counts itself
+    late.cancel()  # a cancelled entry was still scheduled
+    _, batch = queue.pop_batch()
+    queue.reschedule(batch[0], 3.0)
+    assert queue.scheduled_total == 7
+    # fired_total is maintained by the run loop (see test_simulation_api.py).
+    assert queue.fired_total == 0
