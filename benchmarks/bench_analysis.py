@@ -1,10 +1,11 @@
-"""Full-tree analysis speed: the lint+flow+dist+mem+par run CI pays on every push.
+"""Full-tree analysis speed: the static passes CI pays for on every push.
 
-Times ``lint_paths``, ``flow.analyze_paths``, ``dist.analyze_paths``,
-``mem.analyze_paths``, and ``par.analyze_paths`` over ``src`` and
-``examples`` — the exact work of the gating CI steps — plus the combined
-five-pass run, which exercises the shared AST parse cache (each source
-file must be parsed once, not once per pass).
+One timing per pass (lint, flow, dist, mem, par) over ``src`` and
+``examples`` against a *prebuilt* :class:`~repro.analysis.program.Program`
+— the rule checks alone, with the scan, the index and every shared facet
+(flow graph, dist model, ...) already in place — then the two numbers
+that add up to what the CI gate costs: loading the program (scan, parse,
+index) and the end-to-end ``all`` run from cold caches.
 
 Run:  PYTHONPATH=src python -m pytest benchmarks/bench_analysis.py -q
 """
@@ -13,76 +14,47 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis import ast_lint
-from repro.analysis.ast_lint import lint_paths
-from repro.analysis.dist import analyze_paths as dist_paths
-from repro.analysis.flow import analyze_paths as flow_paths
-from repro.analysis.mem import analyze_paths as mem_paths
-from repro.analysis.par import analyze_paths as par_paths
+import pytest
+
+from repro.analysis import AnalysisConfig
+from repro.analysis.driver import PASSES, run, run_all
+from repro.analysis.program import Program, clear_parse_cache
 
 ROOT = Path(__file__).resolve().parent.parent
 PATHS = [ROOT / "src", ROOT / "examples"]
+CONFIG = AnalysisConfig()
 
 
-def test_lint_full_tree(benchmark):
-    benchmark(lambda: lint_paths(PATHS))
+@pytest.fixture(scope="module")
+def program():
+    """The tree, loaded once, with every facet the passes share built."""
+    loaded = Program.load(PATHS, CONFIG)
+    run(loaded, tuple(PASSES), CONFIG)
+    return loaded
 
 
-def test_flow_full_tree(benchmark):
-    benchmark(lambda: flow_paths(PATHS))
+@pytest.mark.parametrize("name", list(PASSES))
+def test_pass_over_prebuilt_program(benchmark, program, name):
+    findings = benchmark(lambda: run(program, (name,), CONFIG)[name])
+    assert findings == []
 
 
-def test_dist_full_tree(benchmark):
-    benchmark(lambda: dist_paths(PATHS))
+def test_program_load(benchmark):
+    """Scan, parse and index from a cold parse cache."""
+
+    def load():
+        clear_parse_cache()
+        return Program.load(PATHS, CONFIG)
+
+    benchmark(load)
 
 
-def test_mem_full_tree(benchmark):
-    benchmark(lambda: mem_paths(PATHS))
-
-
-def test_par_full_tree(benchmark):
-    benchmark(lambda: par_paths(PATHS))
-
-
-def test_all_passes_share_parses(benchmark):
-    """The combined run: the later passes re-use every parse lint cached."""
+def test_all_end_to_end(benchmark):
+    """What ``python -m repro.analysis all src examples`` does in-process."""
 
     def combined():
-        lint_paths(PATHS)
-        flow_paths(PATHS)
-        dist_paths(PATHS)
-        mem_paths(PATHS)
-        return par_paths(PATHS)
+        clear_parse_cache()
+        return run_all(PATHS, CONFIG)
 
-    benchmark(combined)
-
-
-def test_parse_cache_is_shared():
-    """Structural check: after a lint run, the flow, dist, mem, and par
-    passes perform zero fresh parses for the same (unchanged) file set."""
-    ast_lint.clear_parse_cache()
-    lint_paths(PATHS)
-    parses = 0
-
-    class Counting(dict):
-        def __setitem__(self, key, value):
-            nonlocal parses
-            parses += 1
-            super().__setitem__(key, value)
-
-    counting = Counting(ast_lint._parse_cache)
-    ast_lint._parse_cache = counting
-    try:
-        flow_paths(PATHS)
-        after_flow = parses
-        dist_paths(PATHS)
-        after_dist = parses
-        mem_paths(PATHS)
-        after_mem = parses
-        par_paths(PATHS)
-    finally:
-        ast_lint._parse_cache = dict(counting)
-    assert after_flow == 0, f"flow re-parsed {after_flow} files"
-    assert after_dist == 0, f"dist re-parsed {after_dist - after_flow} files"
-    assert after_mem == 0, f"mem re-parsed {after_mem - after_dist} files"
-    assert parses == 0, f"par re-parsed {parses - after_mem} files"
+    per_pass = benchmark(combined)
+    assert list(per_pass) == list(PASSES)

@@ -1,39 +1,56 @@
-"""Architecture analysis for the component model: seven coordinated passes.
+"""Architecture analysis for the component model.
 
-1. **AST lint** (:mod:`.ast_lint`, rules ``A001``–``A005``) — inspects
-   :class:`~repro.core.component.ComponentDefinition` subclasses without
-   importing them, flagging handler code that breaks the model's contract
-   (event mutation, blocking calls, cross-component state access,
-   untypeable subscriptions, undeclared trigger types).
-2. **Wiring verifier** (:mod:`.wiring`, rules ``W001``–``W004``) — walks an
-   assembled (not started) component tree and reports disconnected required
-   ports, subscriptions no trigger site can reach, duplicate subscriptions,
-   and channel anomalies.
-3. **Runtime sanitizer** (:mod:`.sanitizer`, rules ``S001``–``S002``) —
-   opt-in dynamic checks that raise at the exact moment a delivered event
-   is mutated or a component's handlers run re-entrantly.
-4. **Concurrency analysis** (:mod:`.race`, rules ``R001``–``R003``) —
+Every rule states one discipline (paper section 2): components interact
+only through ports, and events are immutable values.  Three kinds of
+checker enforce it.
+
+**Static passes over one program model.**  :mod:`.program` scans the
+given paths once into a :class:`~repro.analysis.program.Program` — parsed
+modules, a name-level class index, and lazily cached facets (flow graph,
+handler map, dist/mem/par models).  :mod:`.driver` runs the rule
+families over it — registered check functions, one class walk, one
+``select``/``ignore``/``# repro: noqa`` filter, one sort:
+
+1. **AST lint** (:mod:`.ast_lint` + :mod:`.rules`, ``A001``–``A005``) —
+   handler code that breaks the model's contract: event mutation,
+   blocking calls, cross-component state access, untypeable
+   subscriptions, undeclared trigger types.
+2. **Event flow** (:mod:`.flow`, ``F001``–``F005``) — whole-program join
+   of trigger sites with subscriptions per (port type, direction, event
+   type), including request/response pairing.
+3. **Distribution readiness** (:mod:`.dist`, ``D001``–``D006``) — every
+   event and component can survive a process boundary: payload
+   serializability, isolation escapes, closure captures, state
+   transferability, identity leaks, compact-codec coverage.
+4. **Memory footprint** (:mod:`.mem`, ``M001``–``M006``) — slot coverage
+   over the event/component hierarchy, unbounded per-peer collections,
+   retained events, Address-interning opportunities, dynamic attributes
+   that defeat slots, heavyweight event defaults.
+5. **Shard safety** (:mod:`.par`, ``P001``–``P006``) — single-address-space
+   assumptions that break when subtrees are pinned to worker processes:
+   process-divergent state, reach-through, shard-cut codec gaps, identity
+   affinity, handler-held locks, unpinnable components.
+
+**Checks on a live system.**
+
+6. **Wiring verifier** (:mod:`.wiring`, ``W001``–``W004``) — walks an
+   assembled (not started) component tree and reports disconnected
+   required ports, subscriptions no trigger site can reach, duplicate
+   subscriptions, and channel anomalies.
+7. **Runtime sanitizer** (:mod:`.sanitizer`, ``S001``–``S002``) — opt-in
+   dynamic checks that raise at the exact moment a delivered event is
+   mutated or a component's handlers run re-entrantly.
+8. **Concurrency analysis** (:mod:`.race`, ``R001``–``R003``) —
    happens-before race detection, determinism checking, and schedule
    exploration over the simulation runtime (loaded lazily: it pulls in
    the simulation stack).
-5. **Event-flow analysis** (:mod:`.flow`, rules ``F001``–``F005``) —
-   whole-program join of trigger sites with subscriptions per (port type,
-   direction, event type), including request/response pairing.
-6. **Distribution readiness** (:mod:`.dist`, rules ``D001``–``D006``) —
-   proves every event and component can survive a process boundary:
-   payload serializability, isolation escapes, closure captures, state
-   transferability, identity leaks, and compact-codec coverage.
-7. **Memory footprint** (:mod:`.mem`, rules ``M001``–``M006``) — makes
-   peers cheap enough for the million-peer simulation: slot coverage
-   over the event/component hierarchy, unbounded per-peer collections,
-   retained events, Address-interning opportunities, dynamic attributes
-   that defeat slots, and heavyweight event defaults.
 
-Command line: ``python -m repro.analysis src/repro examples`` for the
-lint, ``python -m repro.analysis {flow,dist,mem,race} ...`` for the other
-passes, and ``python -m repro.analysis all ...`` (:mod:`.aggregate`) for
-every static pass with one merged report and exit code.  Every CLI takes
-``--sarif FILE`` (:mod:`.sarif`) for a SARIF 2.1.0 log.  See
+Command line (:mod:`.cli`, one parser): ``python -m repro.analysis
+[lint|flow|dist|mem|par|all] src/repro examples`` — the pass word is a
+filter over the same program model, ``lint`` when omitted, ``all`` for
+every static pass with one merged report and exit code — and
+``python -m repro.analysis race ...`` for the concurrency analysis.
+``--sarif FILE`` (:mod:`.sarif`) writes a SARIF 2.1.0 log.  See
 ``docs/analysis.md`` for the full rule catalogue and suppression syntax
 (``# repro: noqa[A001]``, ``[tool.repro.analysis]``).
 """

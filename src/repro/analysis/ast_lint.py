@@ -1,20 +1,11 @@
 """AST lint pass: source-level checks on ComponentDefinition subclasses.
 
-The linter works purely on syntax trees — nothing is imported or executed —
-in two phases:
-
-1. **Index** every scanned file (plus the installed ``repro`` package, so
-   linting ``examples/`` alone still knows the framework's types): class
-   hierarchies by name, ``PortType`` subclasses with their declared
-   positive/negative event types, and ``Event`` subclasses.
-2. **Lint** each ``ComponentDefinition`` subclass against the rules in
-   :mod:`repro.analysis.rules` (A001–A005).
-
-Name resolution is deliberately name-based (no import graph evaluation):
-a class named ``Network`` is assumed to be *the* ``Network`` the index
-knows.  That heuristic is exact for this repository's layout and degrades
-to silence — never to false positives — when a name is unknown: every
-rule skips checks it cannot ground in the index.
+The lint reads the shared :class:`~repro.analysis.program.Program` model
+— nothing is imported or executed — and checks each scanned
+``ComponentDefinition`` subclass against the rules in
+:mod:`repro.analysis.rules` (A001–A005).  What it adds to the model is
+the per-class :class:`ComponentClassContext`: the port attributes and
+the ``subscribe``/``trigger`` call sites of one class body.
 """
 
 from __future__ import annotations
@@ -22,217 +13,20 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .config import AnalysisConfig, is_suppressed
+from .config import AnalysisConfig
 from .findings import Finding
-
-#: Root class names anchoring the three hierarchies the linter reasons about.
-COMPONENT_ROOT = "ComponentDefinition"
-PORT_ROOT = "PortType"
-EVENT_ROOT = "Event"
-
-
-def _base_name(node: ast.expr) -> Optional[str]:
-    """Unqualified name of a base-class expression (``a.b.C`` -> ``C``)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-@dataclass
-class HandlerInfo:
-    """One handler method of a component class."""
-
-    name: str
-    node: ast.FunctionDef
-    event_type: Optional[str]  # from @handles(...), None if undeclared
-    event_param: Optional[str]  # name of the event parameter
-
-
-@dataclass
-class ClassInfo:
-    """Index record for one class definition."""
-
-    name: str
-    module: "ModuleInfo"
-    node: ast.ClassDef
-    bases: tuple[str, ...]
-    methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
-    handlers: dict[str, HandlerInfo] = field(default_factory=dict)
-
-
-@dataclass
-class ModuleInfo:
-    """One parsed source file."""
-
-    path: Path
-    tree: ast.Module
-    lines: list[str]
-    imports: dict[str, str] = field(default_factory=dict)  # alias -> dotted name
-
-    def line(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
-
-class ProjectIndex:
-    """Name-level view of every class in the scanned file set."""
-
-    def __init__(self) -> None:
-        self.classes: dict[str, ClassInfo] = {}
-        self.bases: dict[str, set[str]] = {}
-        self.port_events: dict[str, dict[str, tuple[str, ...]]] = {}
-        #: port type name -> {request event name: (indication names, ...)}
-        #: from ``responds_to = {...}`` class attributes.
-        self.port_responds_to: dict[str, dict[str, tuple[str, ...]]] = {}
-
-    # ------------------------------------------------------------- building
-
-    def add_module(self, module: ModuleInfo) -> None:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ClassDef):
-                self._add_class(module, node)
-
-    def _add_class(self, module: ModuleInfo, node: ast.ClassDef) -> None:
-        bases = tuple(b for b in map(_base_name, node.bases) if b)
-        info = ClassInfo(node.name, module, node, bases)
-        for item in node.body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info.methods[item.name] = item
-                info.handlers[item.name] = HandlerInfo(
-                    item.name, item, _handles_decorator(item), _event_param(item)
-                )
-        self.classes[node.name] = info
-        self.bases.setdefault(node.name, set()).update(bases)
-        self._extract_port_decl(node)
-
-    def _extract_port_decl(self, node: ast.ClassDef) -> None:
-        decl: dict[str, tuple[str, ...]] = {}
-        for item in node.body:
-            if not isinstance(item, ast.Assign):
-                continue
-            for target in item.targets:
-                if isinstance(target, ast.Name) and target.id in ("positive", "negative"):
-                    if isinstance(item.value, (ast.Tuple, ast.List)):
-                        names = tuple(
-                            n for n in map(_base_name, item.value.elts) if n
-                        )
-                        decl[target.id] = names
-                elif isinstance(target, ast.Name) and target.id == "responds_to":
-                    mapping = _extract_responds_to(item.value)
-                    if mapping:
-                        self.port_responds_to.setdefault(node.name, {}).update(mapping)
-        if decl:
-            existing = self.port_events.setdefault(node.name, {})
-            existing.update(decl)
-
-    # ------------------------------------------------------------- hierarchy
-
-    def descends_from(self, name: str, root: str) -> bool:
-        """Name-level transitive subclass check (``name`` may equal ``root``)."""
-        seen: set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            if current == root:
-                return True
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.bases.get(current, ()))
-        return False
-
-    def is_component(self, name: str) -> bool:
-        return self.descends_from(name, COMPONENT_ROOT)
-
-    def is_event(self, name: str) -> bool:
-        return self.descends_from(name, EVENT_ROOT)
-
-    def is_port_type(self, name: str) -> bool:
-        return self.descends_from(name, PORT_ROOT)
-
-    def events_related(self, a: str, b: str) -> bool:
-        """True when one event type is a (reflexive) subtype of the other."""
-        return self.descends_from(a, b) or self.descends_from(b, a)
-
-    def port_direction_events(self, port: str, direction: str) -> Optional[tuple[str, ...]]:
-        """Declared event names for ``direction`` of ``port``, searching bases.
-
-        Returns None when the port type (or the direction's declaration)
-        is unknown to the index.
-        """
-        seen: set[str] = set()
-        frontier = [port]
-        collected: list[str] = []
-        known = False
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            decl = self.port_events.get(current)
-            if decl is not None and direction in decl:
-                known = True
-                collected.extend(decl[direction])
-            frontier.extend(self.bases.get(current, ()))
-        return tuple(collected) if known else None
-
-    def lookup_method(self, cls: str, method: str) -> Optional[HandlerInfo]:
-        """Resolve ``method`` through ``cls`` and its indexed bases."""
-        seen: set[str] = set()
-        frontier = [cls]
-        while frontier:
-            current = frontier.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.classes.get(current)
-            if info is not None:
-                if method in info.handlers:
-                    return info.handlers[method]
-                frontier.extend(info.bases)
-            else:
-                frontier.extend(self.bases.get(current, ()))
-        return None
-
-
-def _extract_responds_to(value: ast.expr) -> dict[str, tuple[str, ...]]:
-    """Parse a ``responds_to = {Request: (Indication, ...)}`` literal."""
-    mapping: dict[str, tuple[str, ...]] = {}
-    if not isinstance(value, ast.Dict):
-        return mapping
-    for key, val in zip(value.keys, value.values):
-        request = _base_name(key) if key is not None else None
-        if request is None:
-            continue
-        if isinstance(val, (ast.Tuple, ast.List)):
-            indications = tuple(n for n in map(_base_name, val.elts) if n)
-        else:
-            name = _base_name(val)
-            indications = (name,) if name else ()
-        if indications:
-            mapping[request] = indications
-    return mapping
-
-
-def _handles_decorator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Optional[str]:
-    for decorator in fn.decorator_list:
-        if isinstance(decorator, ast.Call):
-            name = _base_name(decorator.func)
-            if name == "handles" and decorator.args:
-                return _base_name(decorator.args[0])
-    return None
-
-
-def _event_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Optional[str]:
-    args = fn.args.posonlyargs + fn.args.args
-    if len(args) >= 2:  # (self, event, ...)
-        return args[1].arg
-    return None
+from .program import (
+    COMPONENTS,
+    ClassInfo,
+    HandlerInfo,
+    ModuleInfo,
+    Program,
+    ProjectIndex,
+    base_name,
+    self_attr,
+)
 
 
 @dataclass
@@ -268,14 +62,7 @@ class ComponentClassContext:
 def _self_method_ref(subscribe_call: ast.Call) -> Optional[str]:
     if not subscribe_call.args:
         return None
-    first = subscribe_call.args[0]
-    if (
-        isinstance(first, ast.Attribute)
-        and isinstance(first.value, ast.Name)
-        and first.value.id == "self"
-    ):
-        return first.attr
-    return None
+    return self_attr(subscribe_call.args[0], "self")
 
 
 def _extract_context(info: ClassInfo, index: ProjectIndex) -> ComponentClassContext:
@@ -284,112 +71,43 @@ def _extract_context(info: ClassInfo, index: ProjectIndex) -> ComponentClassCont
         for node in ast.walk(method):
             if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
                 call = node.value
-                fn = call.func
-                if (
-                    isinstance(fn, ast.Attribute)
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id == "self"
-                    and fn.attr in ("provides", "requires")
-                    and call.args
-                ):
-                    port_name = _base_name(call.args[0])
+                called = self_attr(call.func, "self")
+                if called in ("provides", "requires") and call.args:
+                    port_name = base_name(call.args[0])
                     if port_name is None:
                         continue
                     for target in node.targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            ctx.ports[target.attr] = (port_name, fn.attr == "provides")
+                        attr = self_attr(target, "self")
+                        if attr is not None:
+                            ctx.ports[attr] = (port_name, called == "provides")
             elif isinstance(node, ast.Call):
-                fn = node.func
-                if (
-                    isinstance(fn, ast.Attribute)
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id == "self"
-                ):
-                    if fn.attr == "subscribe":
-                        ctx.subscribe_calls.append(node)
-                    elif fn.attr == "trigger":
-                        ctx.trigger_calls.append((node, method))
+                called = self_attr(node.func, "self")
+                if called == "subscribe":
+                    ctx.subscribe_calls.append(node)
+                elif called == "trigger":
+                    ctx.trigger_calls.append((node, method))
     return ctx
 
 
-# ---------------------------------------------------------------------- scan
+def check_component(program: Program, info: ClassInfo) -> Iterator[tuple]:
+    """Run A001–A005 over one component class (driver hit shape)."""
+    from . import rules
+
+    ctx = _extract_context(info, program.index)
+    path = str(info.module.path)
+    for check in rules.AST_CHECKS:
+        for rule_id, message, where in check(ctx):
+            yield (
+                rule_id,
+                message,
+                path,
+                getattr(where, "lineno", None),
+                getattr(where, "col_offset", None),
+                {},
+            )
 
 
-def iter_python_files(paths: Iterable[Path | str]) -> list[Path]:
-    files: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
-            files.append(path)
-    return files
-
-
-#: Parse cache shared by every analysis pass (AST lint, flow extractor):
-#: resolved path -> ((mtime_ns, size), ModuleInfo).  One source file is
-#: parsed once per run even when several passes walk the same tree.
-_parse_cache: dict[Path, tuple[tuple[int, int], ModuleInfo]] = {}
-
-
-def clear_parse_cache() -> None:
-    _parse_cache.clear()
-
-
-def parse_module(path: Path) -> Optional[ModuleInfo]:
-    try:
-        resolved = path.resolve()
-        stat = resolved.stat()
-    except OSError:
-        return None
-    stamp = (stat.st_mtime_ns, stat.st_size)
-    cached = _parse_cache.get(resolved)
-    if cached is not None and cached[0] == stamp:
-        return cached[1]
-    try:
-        source = resolved.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
-    except (OSError, SyntaxError):
-        return None
-    module = ModuleInfo(path, tree, source.splitlines())
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                module.imports[alias.asname or alias.name.split(".")[0]] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                module.imports[alias.asname or alias.name] = f"{node.module}.{alias.name}"
-    _parse_cache[resolved] = (stamp, module)
-    return module
-
-
-def _framework_registry_paths() -> list[Path]:
-    """The installed ``repro`` package, indexed (not linted) for type info."""
-    try:
-        import repro
-    except ImportError:  # pragma: no cover - repro is always importable here
-        return []
-    return [Path(repro.__file__).parent]
-
-
-def build_index(
-    lint_modules: list[ModuleInfo], registry_paths: Iterable[Path] = ()
-) -> ProjectIndex:
-    index = ProjectIndex()
-    linted = {module.path.resolve() for module in lint_modules}
-    for path in iter_python_files(registry_paths):
-        if path.resolve() in linted:
-            continue
-        module = parse_module(path)
-        if module is not None:
-            index.add_module(module)
-    for module in lint_modules:
-        index.add_module(module)
-    return index
+CLASS_CHECKS = ((COMPONENTS, check_component),)
 
 
 def lint_paths(
@@ -397,54 +115,6 @@ def lint_paths(
     config: Optional[AnalysisConfig] = None,
 ) -> list[Finding]:
     """Run the AST lint over files/directories; returns sorted findings."""
-    from . import rules
+    from .driver import analyze_paths
 
-    config = config or AnalysisConfig()
-    modules = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-    index = build_index(modules, _framework_registry_paths())
-
-    findings: list[Finding] = []
-    for module in modules:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not index.is_component(node.name) or node.name == COMPONENT_ROOT:
-                continue
-            info = index.classes.get(node.name)
-            if info is None or info.node is not node:
-                # Re-bind: index holds the last definition of a reused
-                # name; lint the actual node seen in this module.
-                info = ClassInfo(node.name, module, node, tuple(
-                    b for b in map(_base_name, node.bases) if b
-                ))
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        info.methods[item.name] = item
-                        info.handlers[item.name] = HandlerInfo(
-                            item.name, item, _handles_decorator(item), _event_param(item)
-                        )
-            ctx = _extract_context(info, index)
-            for check in rules.AST_CHECKS:
-                for rule_id, message, where in check(ctx):
-                    if not config.rule_enabled(rule_id):
-                        continue
-                    line = getattr(where, "lineno", None)
-                    if line is not None and is_suppressed(rule_id, module.line(line)):
-                        continue
-                    findings.append(
-                        Finding(
-                            rule=rule_id,
-                            message=message,
-                            file=str(module.path),
-                            line=line,
-                            col=getattr(where, "col_offset", None),
-                        )
-                    )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+    return analyze_paths("lint", paths, config)

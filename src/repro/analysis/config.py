@@ -67,6 +67,23 @@ def _matches_any(rule_id: str, patterns: tuple[str, ...]) -> bool:
     return any(rule_id == p or rule_id.startswith(p) for p in patterns)
 
 
+def unmatched_patterns(
+    patterns: Iterable[str], rule_ids: Iterable[str] = RULES
+) -> list[str]:
+    """The select/ignore patterns that name no rule in ``rule_ids``.
+
+    A pattern nothing matches is a typo, not a filter: it would make
+    ``--select`` pass vacuously.  Used for the config table and for the
+    command-line values alike.
+    """
+    rule_ids = tuple(rule_ids)
+    return [
+        pattern
+        for pattern in patterns
+        if not any(rule_id.startswith(pattern) for rule_id in rule_ids)
+    ]
+
+
 def load_config(pyproject: Optional[Path] = None) -> AnalysisConfig:
     """Read ``[tool.repro.analysis]``; missing file/table yields defaults."""
     path = pyproject if pyproject is not None else find_pyproject()
@@ -85,12 +102,10 @@ def load_config(pyproject: Optional[Path] = None) -> AnalysisConfig:
         ignore=tuple(table.get("ignore", ())),
         exclude=tuple(table.get("exclude", ())),
     )
-    for patterns in (config.select, config.ignore):
-        for pattern in patterns:
-            if not any(rule_id.startswith(pattern) for rule_id in RULES):
-                raise ValueError(
-                    f"[tool.repro.analysis] names unknown rule or prefix {pattern!r}"
-                )
+    for pattern in unmatched_patterns(config.select + config.ignore):
+        raise ValueError(
+            f"[tool.repro.analysis] names unknown rule or prefix {pattern!r}"
+        )
     return config
 
 

@@ -21,21 +21,30 @@ can survive a process boundary:
   compact-codec registration (they ride the pickle fallback at wire speed).
 
 Like the lint and flow passes this is name-based and degrades to silence:
-a name the index cannot ground is never reported.  The pass shares the
-AST parse cache, and :func:`classify_events` exposes the D001 verdicts so
-the round-trip property suite can pin static judgement to the runtime
-pickle codec (``tests/property/test_dist_roundtrip.py``).
+a name the index cannot ground is never reported.  The facts live on the
+shared :class:`~repro.analysis.program.Program` (``program.dist``), and
+:func:`classify_events` exposes the D001 verdicts so the round-trip
+property suite can pin static judgement to the runtime pickle codec
+(``tests/property/test_dist_roundtrip.py``).
 
 Command line: ``python -m repro.analysis dist src examples``.
 """
 
-from .checks import analyze_paths, classify_events
-from .model import DistModel, EventVerdict, build_dist_model
+from pathlib import Path
+from typing import Iterable, Optional
 
-__all__ = [
-    "DistModel",
-    "EventVerdict",
-    "analyze_paths",
-    "build_dist_model",
-    "classify_events",
-]
+from ..config import AnalysisConfig
+from ..findings import Finding
+from .checks import classify_events
+from .model import DistModel, EventVerdict
+
+__all__ = ["DistModel", "EventVerdict", "analyze_paths", "classify_events"]
+
+
+def analyze_paths(
+    paths: Iterable[Path | str], config: Optional[AnalysisConfig] = None
+) -> list[Finding]:
+    """Run the dist pass over files/directories; returns sorted findings."""
+    from ..driver import analyze_paths as analyze
+
+    return analyze("dist", paths, config)

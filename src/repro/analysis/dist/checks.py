@@ -1,10 +1,9 @@
-"""The D001–D006 checks over the extraction model.
+"""The D001–D006 checks over the program model.
 
-Each check yields ``(rule, message, module, line, col, extra)`` tuples
-anchored in scanned modules only; :func:`analyze_paths` applies rule
-selection and ``# repro: noqa[D...]`` suppression and returns sorted
-:class:`~repro.analysis.findings.Finding` records — the same driver
-contract as the lint and flow passes.
+Each check yields ``(rule, message, file, line, col, extra)`` hits; the
+driver (:mod:`..driver`) walks the classes, applies rule selection and
+``# repro: noqa[D...]`` suppression, and drops hits outside the scanned
+files — the same contract as every other pass.
 """
 
 from __future__ import annotations
@@ -13,60 +12,40 @@ import ast
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from ..ast_lint import (
-    COMPONENT_ROOT,
-    EVENT_ROOT,
+from ..config import AnalysisConfig
+from ..flow.extract import _instance_map, _is_trigger
+from ..program import (
+    COMPONENTS,
+    EVENTS,
     ClassInfo,
-    ModuleInfo,
+    Hit,
+    Program,
     ProjectIndex,
-    _base_name,
+    base_name,
+    first_param,
+    self_attr,
 )
-from ..config import AnalysisConfig, is_suppressed
-from ..findings import Finding
-from ..flow.extract import _first_param, _instance_map, _is_trigger
-from ..flow.graph import build_flow_graph
-from .model import DistModel, EventVerdict, build_component_model, build_dist_model
+from .model import EventVerdict, _own_fields
 
 _NETWORK_ROOT = "Network"
-
-_Raw = tuple[str, str, ModuleInfo, int, Optional[int], dict]
-
-
-def _class_info(node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex) -> ClassInfo:
-    """The index record for ``node``, re-bound if the name was reused."""
-    info = index.classes.get(node.name)
-    if info is not None and info.node is node:
-        return info
-    rebound = ClassInfo(
-        node.name, module, node, tuple(b for b in map(_base_name, node.bases) if b)
-    )
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            rebound.methods[item.name] = item
-    return rebound
 
 
 # ------------------------------------------------------------------- D001
 
 
-def _check_events(
-    node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex, model: DistModel
-) -> Iterator[_Raw]:
-    from .model import _own_fields
-
-    info = _class_info(node, module, index)
-    for fld in _own_fields(info, index):
+def check_events(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    for fld in _own_fields(info, program.index):
         if fld.reason is None:
             continue
         yield (
             "D001",
-            f"field {fld.name!r} of event {node.name} is annotated "
+            f"field {fld.name!r} of event {info.name} is annotated "
             f"{fld.annotation!r}: {fld.reason}; this payload cannot cross "
             "a process boundary",
-            module,
+            str(info.module.path),
             fld.line,
             None,
-            {"event": node.name, "field": fld.name},
+            {"event": info.name, "field": fld.name},
         )
 
 
@@ -102,7 +81,7 @@ def _payload_nodes(expr: ast.expr) -> Iterator[tuple[ast.expr, bool]]:
 def _event_ctor(call: ast.Call, index: ProjectIndex) -> Optional[str]:
     if len(call.args) < 1 or not isinstance(call.args[0], ast.Call):
         return None
-    name = _base_name(call.args[0].func)
+    name = base_name(call.args[0].func)
     if name and index.is_event(name):
         return name
     return None
@@ -171,20 +150,14 @@ def _loop_targets_around(
 # ----------------------------------------------------- D002 / D003 / D005
 
 
-def _check_component_methods(
-    node: ast.ClassDef,
-    module: ModuleInfo,
-    index: ProjectIndex,
-    model: DistModel,
-    module_instances: dict[str, str],
-) -> Iterator[_Raw]:
-    comp = model.components.get(node.name)
-    info = _class_info(node, module, index)
-    if comp is None or comp.file != str(module.path):
-        comp = build_component_model(info, index)
+def check_component_methods(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    index = program.index
+    path = str(info.module.path)
+    comp = program.component_model(info)
+    module_instances = _instance_map(info.module.tree.body, index)
 
     for method in info.methods.values():
-        selfname = _first_param(method)
+        selfname = first_param(method)
         if selfname is None:
             continue
         loops = _loop_target_map(method)
@@ -200,15 +173,9 @@ def _check_component_methods(
             n for n in ast.walk(method) if isinstance(n, ast.Call)
         ):
             fn = call.func
-            if (
-                isinstance(fn, ast.Attribute)
-                and fn.attr == "subscribe"
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id == selfname
-                and call.args
-            ):
+            if self_attr(fn, selfname) == "subscribe" and call.args:
                 yield from _check_subscribe_handler(
-                    call, module, selfname, loops, local_defs
+                    call, path, selfname, loops, local_defs
                 )
             elif _is_trigger(fn):
                 event = _event_ctor(call, index)
@@ -217,17 +184,17 @@ def _check_component_methods(
                 ctor = call.args[0]
                 assert isinstance(ctor, ast.Call)
                 yield from _check_payload(
-                    ctor, event, module, selfname, comp, instances, loops
+                    ctor, event, path, selfname, comp, instances, loops
                 )
 
 
 def _check_subscribe_handler(
     call: ast.Call,
-    module: ModuleInfo,
+    path: str,
     selfname: str,
     loops: list[tuple[set[str], set[int]]],
     local_defs: dict[str, ast.FunctionDef],
-) -> Iterator[_Raw]:
+) -> Iterator[Hit]:
     handler = call.args[0]
     if isinstance(handler, ast.Lambda):
         captures = _lambda_captures(
@@ -238,7 +205,7 @@ def _check_subscribe_handler(
             "D003",
             "lambda subscribed as a handler cannot be re-established in "
             f"another process{detail}; subscribe a bound method instead",
-            module,
+            path,
             handler.lineno,
             handler.col_offset,
             {"captures": captures},
@@ -251,7 +218,7 @@ def _check_subscribe_handler(
             "D003",
             f"local def {handler.id!r} subscribed as a handler cannot be "
             f"re-established in another process{detail}; use a method",
-            module,
+            path,
             call.lineno,
             call.col_offset,
             {"captures": captures},
@@ -261,12 +228,12 @@ def _check_subscribe_handler(
 def _check_payload(
     ctor: ast.Call,
     event: str,
-    module: ModuleInfo,
+    path: str,
     selfname: str,
     comp,
     instances: dict[str, str],
     loops: list[tuple[set[str], set[int]]],
-) -> Iterator[_Raw]:
+) -> Iterator[Hit]:
     for arg in _ctor_payload_exprs(ctor):
         for node, shielded in _payload_nodes(arg):
             if shielded:
@@ -280,7 +247,7 @@ def _check_payload(
                     "D003",
                     f"payload of {event}(...) embeds a lambda; closures do "
                     f"not survive a process boundary{detail}",
-                    module,
+                    path,
                     node.lineno,
                     node.col_offset,
                     {"event": event, "captures": captures},
@@ -292,7 +259,7 @@ def _check_payload(
                         f"payload of {event}(...) carries the component "
                         "itself; shard routing needs Address indirection, "
                         "not object identity",
-                        module,
+                        path,
                         node.lineno,
                         node.col_offset,
                         {"event": event},
@@ -303,23 +270,18 @@ def _check_payload(
                         f"payload of {event}(...) carries component "
                         f"instance {node.id!r} ({instances[node.id]}); pass "
                         "its Address instead",
-                        module,
+                        path,
                         node.lineno,
                         node.col_offset,
                         {"event": event, "component": instances[node.id]},
                     )
-            elif (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == selfname
-            ):
-                attr = node.attr
+            elif (attr := self_attr(node, selfname)) is not None:
                 if attr in comp.child_attrs:
                     yield (
                         "D005",
                         f"payload of {event}(...) carries child component "
                         f"self.{attr}; pass its Address instead",
-                        module,
+                        path,
                         node.lineno,
                         node.col_offset,
                         {"event": event, "attr": attr},
@@ -330,7 +292,7 @@ def _check_payload(
                         f"payload of {event}(...) carries port handle "
                         f"self.{attr}; ports are process-local runtime "
                         "objects",
-                        module,
+                        path,
                         node.lineno,
                         node.col_offset,
                         {"event": event, "attr": attr},
@@ -343,7 +305,7 @@ def _check_payload(
                         f"{comp.mutable_attrs[attr]}); sender and receiver "
                         "would share state a process boundary splits — "
                         "pass a snapshot (tuple(...)/dict(...)) instead",
-                        module,
+                        path,
                         node.lineno,
                         node.col_offset,
                         {"event": event, "attr": attr},
@@ -353,39 +315,30 @@ def _check_payload(
 # ------------------------------------------------------------------- D004
 
 
-def _check_component_state(
-    node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex, model: DistModel
-) -> Iterator[_Raw]:
-    comp = model.components.get(node.name)
-    if comp is None or comp.file != str(module.path):
-        comp = build_component_model(_class_info(node, module, index), index)
+def check_component_state(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    comp = program.component_model(info)
     if comp.has_state_hooks or not comp.resource_attrs:
         return
     for attr, resource, line in comp.resource_attrs:
         yield (
             "D004",
-            f"self.{attr} holds {resource} but {node.name} overrides "
+            f"self.{attr} holds {resource} but {info.name} overrides "
             "neither dump_state nor load_state; section-2.6 state transfer "
             "cannot migrate this component across processes",
-            module,
+            str(info.module.path),
             line,
             None,
-            {"component": node.name, "attr": attr, "resource": resource},
+            {"component": info.name, "attr": attr, "resource": resource},
         )
 
 
 # ------------------------------------------------------------------- D006
 
 
-def _check_codec_coverage(
-    model: DistModel,
-    scanned: dict[str, ModuleInfo],
-    paths: Iterable[Path | str],
-    config: AnalysisConfig,
-) -> Iterator[_Raw]:
-    graph, _ = build_flow_graph(paths, config)
+def check_codec_coverage(program: Program) -> Iterator[Hit]:
+    model, scanned = program.dist, program.scanned
     crossing: dict[str, list] = {}
-    for producer in graph.producers:
+    for producer in program.flow_graph.producers:
         if producer.event is None:
             continue
         if not model.index.descends_from(producer.port_type, _NETWORK_ROOT):
@@ -397,7 +350,7 @@ def _check_codec_coverage(
         info = model.index.classes.get(event)
         sites = crossing[event]
         if info is not None and str(info.module.path) in scanned:
-            module = scanned[str(info.module.path)]
+            path = str(info.module.path)
             line: int = info.node.lineno
             col: Optional[int] = info.node.col_offset
         else:
@@ -405,72 +358,32 @@ def _check_codec_coverage(
             if not anchored:
                 continue  # event and every trigger live in framework context
             first = min(anchored, key=lambda p: (p.file, p.line))
-            module = scanned[first.file]
+            path = first.file
             line, col = first.line, first.col
         yield (
             "D006",
             f"{event} crosses the Network port ({len(sites)} trigger "
             "site(s)) with no compact-codec registration; register it with "
             "@register_compact or justify the pickle fallback",
-            module,
+            path,
             line,
             col,
             {"event": event, "sites": len(sites)},
         )
 
 
-# ----------------------------------------------------------------- driver
+# --------------------------------------------------------------- registry
 
-
-def analyze_paths(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> list[Finding]:
-    """Run the dist pass over files/directories; returns sorted findings."""
-    config = config or AnalysisConfig()
-    model, scanned = build_dist_model(paths, config)
-    index = model.index
-
-    raw: list[_Raw] = []
-    for module in scanned.values():
-        module_instances = _instance_map(module.tree.body, index)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if index.is_event(node.name) and node.name != EVENT_ROOT:
-                raw.extend(_check_events(node, module, index, model))
-            if index.is_component(node.name) and node.name != COMPONENT_ROOT:
-                raw.extend(
-                    _check_component_methods(
-                        node, module, index, model, module_instances
-                    )
-                )
-                raw.extend(_check_component_state(node, module, index, model))
-    raw.extend(_check_codec_coverage(model, scanned, paths, config))
-
-    findings: list[Finding] = []
-    for rule_id, message, module, line, col, extra in raw:
-        if not config.rule_enabled(rule_id):
-            continue
-        if is_suppressed(rule_id, module.line(line)):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                message=message,
-                file=str(module.path),
-                line=line,
-                col=col,
-                extra=extra,
-            )
-        )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+CLASS_CHECKS = (
+    (EVENTS, check_events),                 # D001
+    (COMPONENTS, check_component_methods),  # D002 / D003 / D005
+    (COMPONENTS, check_component_state),    # D004
+)
+PROGRAM_CHECKS = (check_codec_coverage,)    # D006
 
 
 def classify_events(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
+    paths: Iterable[Path | str], config: Optional[AnalysisConfig] = None
 ) -> dict[str, EventVerdict]:
     """D001 verdict per indexed event type, pre-suppression.
 
@@ -478,5 +391,5 @@ def classify_events(
     ``wire_safe`` here must pickle round-trip byte-stably, and every event
     that does not must carry at least one reason.
     """
-    model, _ = build_dist_model(paths, config)
+    model = Program.load(paths, config).dist
     return {name: model.verdict(name) for name in model.event_names()}

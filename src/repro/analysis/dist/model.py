@@ -1,6 +1,6 @@
 """Extraction model for the distribution-readiness pass.
 
-Everything here is derived from the shared :mod:`..ast_lint` index — no
+Everything here is derived from the shared :mod:`..program` index — no
 imports of analyzed code.  The model answers four questions per class:
 
 - events: which annotated payload fields does it carry (own + inherited),
@@ -20,22 +20,19 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Optional
 
-from ..ast_lint import (
+from ..program import (
     COMPONENT_ROOT,
     EVENT_ROOT,
     ClassInfo,
     ModuleInfo,
+    Program,
     ProjectIndex,
-    _base_name,
-    _framework_registry_paths,
-    build_index,
-    iter_python_files,
-    parse_module,
+    base_name,
+    dotted_name,
+    self_attr,
 )
-from ..config import AnalysisConfig
 
 #: Dotted-name prefixes whose instances hold OS state (threads, sockets,
 #: files, queues, servers).  Matched against names resolved through the
@@ -99,19 +96,6 @@ MUTABLE_CALLS = frozenset(
 )
 
 
-def _dotted_name(expr: ast.expr) -> Optional[str]:
-    """``a.b.C`` -> ``"a.b.C"``; plain names return themselves."""
-    parts: list[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def _resolve_dotted(expr: ast.expr, module: ModuleInfo) -> Optional[str]:
     """Ground an annotation/call name through the module's import table.
 
@@ -121,7 +105,7 @@ def _resolve_dotted(expr: ast.expr, module: ModuleInfo) -> Optional[str]:
     """
     if isinstance(expr, ast.Name):
         return module.imports.get(expr.id)
-    dotted = _dotted_name(expr)
+    dotted = dotted_name(expr)
     if dotted is None:
         return None
     root, _, rest = dotted.partition(".")
@@ -194,7 +178,7 @@ def classify_annotation(
     for leaf in _annotation_leaves(ann):
         if isinstance(leaf, ast.Lambda):
             return "a lambda expression"
-        bare = _base_name(leaf)
+        bare = base_name(leaf)
         dotted = _resolve_dotted(leaf, module)
         if dotted is not None:
             for prefix in RESOURCE_PREFIXES:
@@ -284,7 +268,7 @@ def _is_mutable_value(value: ast.expr) -> bool:
     ):
         return True
     if isinstance(value, ast.Call):
-        name = _base_name(value.func)
+        name = base_name(value.func)
         return name in MUTABLE_CALLS
     return False
 
@@ -293,7 +277,7 @@ def _resource_call(value: ast.expr, module: ModuleInfo) -> Optional[str]:
     """Dotted name of an OS-resource constructor call, or None."""
     if not isinstance(value, ast.Call):
         return None
-    bare = _base_name(value.func)
+    bare = base_name(value.func)
     if bare in RESOURCE_BUILTINS and isinstance(value.func, ast.Name):
         return bare
     dotted = _resolve_dotted(value.func, module)
@@ -331,29 +315,20 @@ def build_component_model(
             else:
                 continue
             for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == selfname
-                ):
+                attr = self_attr(target, selfname)
+                if attr is None:
                     continue
-                attr = target.attr
                 if _is_mutable_value(value):
                     model.mutable_attrs.setdefault(attr, stmt.lineno)
                 resource = _resource_call(value, info.module)
                 if resource is not None:
                     model.resource_attrs.append((attr, resource, stmt.lineno))
                 if isinstance(value, ast.Call):
-                    fn = value.func
-                    if (
-                        isinstance(fn, ast.Attribute)
-                        and isinstance(fn.value, ast.Name)
-                        and fn.value.id == selfname
-                    ):
-                        if fn.attr == "create":
-                            model.child_attrs.add(attr)
-                        elif fn.attr in ("provides", "requires"):
-                            model.port_attrs.add(attr)
+                    called = self_attr(value.func, selfname)
+                    if called == "create":
+                        model.child_attrs.add(attr)
+                    elif called in ("provides", "requires"):
+                        model.port_attrs.add(attr)
     return model
 
 
@@ -411,46 +386,23 @@ def _scan_registrations(module: ModuleInfo, registered: set[str]) -> None:
         if isinstance(node, ast.ClassDef):
             for deco in node.decorator_list:
                 target = deco.func if isinstance(deco, ast.Call) else deco
-                if _base_name(target) == "register_compact":
+                if base_name(target) == "register_compact":
                     registered.add(node.name)
         elif isinstance(node, ast.Call):
-            if _base_name(node.func) == "register_compact" and node.args:
-                name = _base_name(node.args[0])
+            if base_name(node.func) == "register_compact" and node.args:
+                name = base_name(node.args[0])
                 if name:
                     registered.add(name)
 
 
-def build_dist_model(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> tuple[DistModel, dict[str, ModuleInfo]]:
-    """Build the model; returns it plus the scanned modules (findings set).
+def build_dist_model(program: Program) -> DistModel:
+    """Model every indexed event and component, framework included.
 
-    Framework modules (the installed ``repro`` package) are indexed and
-    modelled so inherited fields and base classes ground, but findings are
-    only ever anchored in scanned files — same contract as the flow pass.
+    Framework classes are modelled so inherited fields and base classes
+    ground; findings are only ever anchored in scanned files — same
+    contract as the flow pass.
     """
-    config = config or AnalysisConfig()
-    scanned: dict[str, ModuleInfo] = {}
-    modules: list[ModuleInfo] = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-            scanned[str(module.path)] = module
-    index = build_index(modules, _framework_registry_paths())
-
-    all_modules = list(modules)
-    seen_paths = {module.path.resolve() for module in modules}
-    for path in iter_python_files(_framework_registry_paths()):
-        if path.resolve() in seen_paths:
-            continue
-        module = parse_module(path)
-        if module is not None:
-            all_modules.append(module)
-
+    index = program.index
     event_fields: dict[str, list[FieldModel]] = {}
     components: dict[str, ComponentModel] = {}
     registered: set[str] = set()
@@ -460,8 +412,7 @@ def build_dist_model(
         if index.is_event(name):
             event_fields[name] = _own_fields(info, index)
         if index.is_component(name):
-            components[name] = build_component_model(info, index)
-    for module in all_modules:
+            components[name] = program.component_model(info)
+    for module in program.all_modules:
         _scan_registrations(module, registered)
-
-    return DistModel(index, event_fields, components, registered), scanned
+    return DistModel(index, event_fields, components, registered)

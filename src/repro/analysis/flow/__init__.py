@@ -13,8 +13,13 @@ variable it cannot trace, an event built by a helper) degrades to a
 *wildcard* record that satisfies matches but never raises findings.
 """
 
+from pathlib import Path
+from typing import Iterable, Optional
+
+from ..config import AnalysisConfig
+from ..findings import Finding
 from .extract import Consumer, Face, FlowExtraction, Producer, PortDecl
-from .graph import FlowGraph, analyze_paths, build_flow_graph
+from .graph import FlowGraph
 from .dot import to_dot
 
 __all__ = [
@@ -25,6 +30,14 @@ __all__ = [
     "PortDecl",
     "Producer",
     "analyze_paths",
-    "build_flow_graph",
     "to_dot",
 ]
+
+
+def analyze_paths(
+    paths: Iterable[Path | str], config: Optional[AnalysisConfig] = None
+) -> list[Finding]:
+    """Run the flow pass over files/directories; returns sorted findings."""
+    from ..driver import analyze_paths as analyze
+
+    return analyze("flow", paths, config)

@@ -36,12 +36,14 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..ast_lint import (
+from ..program import (
     COMPONENT_ROOT,
     PORT_ROOT,
     ModuleInfo,
     ProjectIndex,
-    _base_name,
+    base_name,
+    first_param,
+    self_attr,
 )
 
 POSITIVE = "+"
@@ -114,11 +116,6 @@ class FlowExtraction:
     consumers: list[Consumer] = field(default_factory=list)
     port_decls: list[PortDecl] = field(default_factory=list)
 
-    def extend(self, other: "FlowExtraction") -> None:
-        self.producers.extend(other.producers)
-        self.consumers.extend(other.consumers)
-        self.port_decls.extend(other.port_decls)
-
 
 @dataclass
 class _Scope:
@@ -145,7 +142,7 @@ class _Extractor:
         for item in node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            selfname = _first_param(item)
+            selfname = first_param(item)
             if selfname is None:
                 continue
             for stmt in ast.walk(item):
@@ -155,12 +152,9 @@ class _Extractor:
                 if face is None or face is CONTROL:
                     continue
                 for target in stmt.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == selfname
-                    ):
-                        ports[target.attr] = face
+                    attr = self_attr(target, selfname)
+                    if attr is not None:
+                        ports[attr] = face
         self._class_ports[id(node)] = ports
         return ports
 
@@ -169,14 +163,10 @@ class _Extractor:
         if isinstance(value, ast.Call):
             fn = value.func
             if isinstance(fn, ast.Attribute) and value.args:
-                port_name = _base_name(value.args[0])
+                port_name = base_name(value.args[0])
                 if port_name is None or not self.index.is_port_type(port_name):
                     return None
-                if (
-                    fn.attr in ("provides", "requires")
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id == selfname
-                ):
+                if self_attr(fn, selfname) in ("provides", "requires"):
                     return Face(port_name, fn.attr == "provides", inside=True)
                 if fn.attr in ("provided", "required"):
                     return Face(port_name, fn.attr == "provided", inside=False)
@@ -196,7 +186,7 @@ class _Extractor:
             and expr.value.args
         ):
             call = expr.value
-            port_name = _base_name(call.args[0])
+            port_name = base_name(call.args[0])
             provided = None
             for kw in call.keywords:
                 if kw.arg == "provided" and isinstance(kw.value, ast.Constant):
@@ -213,11 +203,11 @@ class _Extractor:
                 if fn.attr == "control":
                     return CONTROL
                 if fn.attr in ("provided", "required") and expr.args:
-                    port_name = _base_name(expr.args[0])
+                    port_name = base_name(expr.args[0])
                     if port_name and self.index.is_port_type(port_name):
                         return Face(port_name, fn.attr == "provided", inside=False)
                 if fn.attr in ("provides", "requires") and expr.args:
-                    port_name = _base_name(expr.args[0])
+                    port_name = base_name(expr.args[0])
                     if port_name and self.index.is_port_type(port_name):
                         return Face(port_name, fn.attr == "provides", inside=True)
             return None
@@ -256,15 +246,15 @@ class _Extractor:
     def resolve_event(self, expr: ast.expr) -> Optional[str]:
         """Event type name when the argument is a direct constructor call."""
         if isinstance(expr, ast.Call):
-            name = _base_name(expr.func)
+            name = base_name(expr.func)
             if name and self.index.is_event(name):
                 return name
         return None
 
     # ----------------------------------------------------------- extraction
 
-    def extract_module(self, module: ModuleInfo) -> FlowExtraction:
-        out = FlowExtraction()
+    def extract_module(self, module: ModuleInfo, out: FlowExtraction) -> None:
+        """Append the records of one module to ``out``."""
         component_nodes = []
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
@@ -280,7 +270,6 @@ class _Extractor:
             module.tree.body, module, set(map(id, component_nodes)),
             module_instances, out,
         )
-        return out
 
     def _extract_port_decls(
         self, node: ast.ClassDef, module: ModuleInfo, out: FlowExtraction
@@ -298,7 +287,7 @@ class _Extractor:
                     continue
                 direction = POSITIVE if target.id == "positive" else NEGATIVE
                 for elt in item.value.elts:
-                    name = _base_name(elt)
+                    name = base_name(elt)
                     if name:
                         out.port_decls.append(
                             PortDecl(
@@ -318,7 +307,7 @@ class _Extractor:
         for item in node.body:
             if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            selfname = _first_param(item)
+            selfname = first_param(item)
             if selfname is None:
                 continue
             instances = dict(module_instances)
@@ -332,12 +321,7 @@ class _Extractor:
             )
             for call, env in _calls_with_env(item.body, {}):
                 fn = call.func
-                if (
-                    isinstance(fn, ast.Attribute)
-                    and fn.attr == "subscribe"
-                    and isinstance(fn.value, ast.Name)
-                    and fn.value.id == selfname
-                ):
+                if self_attr(fn, selfname) == "subscribe":
                     self._consume(call, env, scope, node.name, module, out)
                 elif _is_trigger(fn):
                     self._produce(call, scope, node.name, module, out)
@@ -425,13 +409,7 @@ class _Extractor:
         if face is None or face is CONTROL:
             return
         handler_expr = call.args[0]
-        handler_name = None
-        if (
-            isinstance(handler_expr, ast.Attribute)
-            and isinstance(handler_expr.value, ast.Name)
-            and handler_expr.value.id == scope.selfname
-        ):
-            handler_name = handler_expr.attr
+        handler_name = self_attr(handler_expr, scope.selfname)
 
         event_kw = next(
             (kw.value for kw in call.keywords if kw.arg == "event_type"), None
@@ -450,7 +428,7 @@ class _Extractor:
                     grounded = ev if ev and self.index.is_event(ev) else None
                     entries.append((grounded, h or "<handler>"))
             else:
-                name = _base_name(event_kw)
+                name = base_name(event_kw)
                 grounded = name if name and self.index.is_event(name) else None
                 entries.append((grounded, handler_name or "<handler>"))
         else:
@@ -480,11 +458,6 @@ class _Extractor:
 # ------------------------------------------------------------------ helpers
 
 
-def _first_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Optional[str]:
-    args = fn.args.posonlyargs + fn.args.args
-    return args[0].arg if args else None
-
-
 def _is_trigger(fn: ast.expr) -> bool:
     if isinstance(fn, ast.Name):
         return fn.id == "trigger"
@@ -497,7 +470,7 @@ def _instance_map(stmts: list, index: ProjectIndex) -> dict[str, str]:
     for stmt in stmts:
         if not isinstance(stmt, ast.Assign) or not isinstance(stmt.value, ast.Call):
             continue
-        cls = _base_name(stmt.value.func)
+        cls = base_name(stmt.value.func)
         if cls is None or not index.is_component(cls):
             continue
         for target in stmt.targets:
@@ -566,7 +539,7 @@ def _literal_for_bindings(
         if not isinstance(row, (ast.Tuple, ast.List)) or len(row.elts) != width:
             return None
         for i, cell in enumerate(row.elts):
-            columns[i].append(_base_name(cell))
+            columns[i].append(base_name(cell))
     return {
         name.id: tuple(column)
         for name, column in zip(target.elts, columns)

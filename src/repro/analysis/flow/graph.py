@@ -4,25 +4,15 @@ The graph always covers the *whole program*: the scanned paths plus the
 installed ``repro`` package (so running over ``examples/`` alone still
 sees the framework's Timer and Network producers).  Findings, however,
 are only reported for files under the scanned paths — the framework is
-context, not the subject.
+context, not the subject (the driver drops hits anchored elsewhere).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from ..ast_lint import (
-    ModuleInfo,
-    ProjectIndex,
-    _framework_registry_paths,
-    build_index,
-    iter_python_files,
-    parse_module,
-)
-from ..config import AnalysisConfig, is_suppressed
-from ..findings import Finding
+from ..program import Program, ProjectIndex
 from .extract import (
     NEGATIVE,
     POSITIVE,
@@ -264,66 +254,18 @@ class FlowGraph:
 # ------------------------------------------------------------------- driver
 
 
-def build_flow_graph(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> tuple[FlowGraph, dict[str, ModuleInfo]]:
-    """Build the whole-program graph; returns it plus the scanned modules.
-
-    The second element maps file path (as reported in findings) to its
-    :class:`ModuleInfo` — the scan set that findings are restricted to.
-    """
-    config = config or AnalysisConfig()
-    scanned: dict[str, ModuleInfo] = {}
-    modules: list[ModuleInfo] = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-            scanned[str(module.path)] = module
-    index = build_index(modules, _framework_registry_paths())
-
-    extractor = _Extractor(index)
+def build_flow_graph(program: Program) -> FlowGraph:
+    """Extract every module of the program (scanned, then framework) and join."""
+    extractor = _Extractor(program.index)
     extraction = FlowExtraction()
-    seen = {module.path.resolve() for module in modules}
-    for module in modules:
-        extraction.extend(extractor.extract_module(module))
-    for path in iter_python_files(_framework_registry_paths()):
-        if path.resolve() in seen:
-            continue
-        module = parse_module(path)
-        if module is not None:
-            extraction.extend(extractor.extract_module(module))
-    return FlowGraph.from_extraction(index, extraction), scanned
+    for module in program.all_modules:
+        extractor.extract_module(module, extraction)
+    return FlowGraph.from_extraction(program.index, extraction)
 
 
-def analyze_paths(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> list[Finding]:
-    """Run the flow pass over files/directories; returns sorted findings."""
-    config = config or AnalysisConfig()
-    graph, scanned = build_flow_graph(paths, config)
-    findings: list[Finding] = []
-    for rule_id, message, file, line, col, extra in graph.check():
-        module = scanned.get(file)
-        if module is None:
-            continue  # framework context: report only on scanned files
-        if not config.rule_enabled(rule_id):
-            continue
-        if is_suppressed(rule_id, module.line(line)):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                message=message,
-                file=file,
-                line=line,
-                col=col,
-                extra=extra,
-            )
-        )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+def check_flow(program: Program) -> Iterator:
+    """F001–F005 over the program's flow graph."""
+    return program.flow_graph.check()
+
+
+PROGRAM_CHECKS = (check_flow,)

@@ -27,12 +27,24 @@ keeps the verdicts honest at runtime:
 - **M006** heavyweight default: a mutable ``default_factory`` on an
   event field where an empty-tuple sentinel suffices.
 
-Command line: ``python -m repro.analysis mem src examples`` (same
-format/exit-code/suppression surface as the lint, flow, and dist CLIs);
-also part of ``python -m repro.analysis all``.
+Command line: ``python -m repro.analysis mem src examples`` (the one
+front-end every pass shares); also part of ``python -m repro.analysis all``.
 """
 
-from .checks import analyze_paths
-from .model import MemModel, SlotInfo, build_mem_model
+from pathlib import Path
+from typing import Iterable, Optional
 
-__all__ = ["MemModel", "SlotInfo", "analyze_paths", "build_mem_model"]
+from ..config import AnalysisConfig
+from ..findings import Finding
+from .model import MemModel, SlotInfo
+
+__all__ = ["MemModel", "SlotInfo", "analyze_paths"]
+
+
+def analyze_paths(
+    paths: Iterable[Path | str], config: Optional[AnalysisConfig] = None
+) -> list[Finding]:
+    """Run the mem pass over files/directories; returns sorted findings."""
+    from ..driver import analyze_paths as analyze
+
+    return analyze("mem", paths, config)

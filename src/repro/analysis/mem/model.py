@@ -1,15 +1,13 @@
 """Extraction model for the memory-footprint pass.
 
-Everything here is derived from the shared :mod:`..ast_lint` index and
-the flow pass's producer/consumer graph — no imports of analyzed code.
-The model answers three questions per class:
+Everything here is derived from the shared :mod:`..program` index — no
+imports of analyzed code.  The model answers two questions per class
+(which methods run as handlers, and what they receive, is
+:attr:`Program.handler_events <repro.analysis.program.Program.handler_events>`):
 
 - slotting: does the class declare ``__slots__`` (literally or via
   ``@dataclass(slots=True)``), which instance attributes does it declare,
   and is its entire base chain slot-complete?
-- handlers: which methods run as event handlers (``@handles`` or
-  subscription sites anywhere in the program), and which event types do
-  they receive?
 - payloads: which annotated fields of an event type are mutable
   containers (the part of a payload a handler must not retain by
   reference)?
@@ -24,21 +22,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Optional
 
-from ..ast_lint import (
+from ..program import (
     ClassInfo,
-    ModuleInfo,
+    Program,
     ProjectIndex,
-    _base_name,
-    build_index,
-    _framework_registry_paths,
-    iter_python_files,
-    parse_module,
+    base_name,
+    is_classvar,
+    self_attr,
 )
-from ..config import AnalysisConfig
-from ..flow.graph import build_flow_graph
 
 #: Annotation/default-factory roots denoting mutable containers.
 MUTABLE_CONTAINER_NAMES = frozenset(
@@ -76,8 +69,8 @@ class SlotInfo:
 
 def _decorator_call(deco: ast.expr) -> tuple[Optional[str], Optional[ast.Call]]:
     if isinstance(deco, ast.Call):
-        return _base_name(deco.func), deco
-    return _base_name(deco), None
+        return base_name(deco.func), deco
+    return base_name(deco), None
 
 
 def _dataclass_slots(node: ast.ClassDef) -> tuple[bool, bool]:
@@ -105,14 +98,6 @@ def _slots_literal(value: ast.expr) -> Optional[frozenset[str]]:
                 names.add(elt.value)
         return frozenset(names)
     return None  # computed __slots__: counts as slotted, fields unknown
-
-
-def _is_classvar(ann: ast.expr) -> bool:
-    for node in ast.walk(ann):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            if _base_name(node) == "ClassVar":
-                return True
-    return False
 
 
 def _self_attr_writes(
@@ -149,12 +134,9 @@ def _self_attr_writes(
                 yield node.args[1].value, node.lineno
             continue
         for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == selfname
-            ):
-                yield target.attr, node.lineno
+            attr = self_attr(target, selfname)
+            if attr is not None:
+                yield attr, node.lineno
 
 
 def build_slot_info(info: ClassInfo) -> SlotInfo:
@@ -164,7 +146,7 @@ def build_slot_info(info: ClassInfo) -> SlotInfo:
     has_slots = dc_slots
     for item in node.body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            if not _is_classvar(item.annotation):
+            if not is_classvar(item.annotation):
                 declared.add(item.target.id)
         elif isinstance(item, ast.Assign):
             for target in item.targets:
@@ -212,9 +194,9 @@ def _annotation_mutable(ann: ast.expr) -> bool:
         except SyntaxError:
             return False
     if isinstance(ann, (ast.Name, ast.Attribute)):
-        return _base_name(ann) in MUTABLE_CONTAINER_NAMES
+        return base_name(ann) in MUTABLE_CONTAINER_NAMES
     if isinstance(ann, ast.Subscript):
-        root = _base_name(ann.value)
+        root = base_name(ann.value)
         if root in ("Optional", "Union"):
             arms = (
                 ann.slice.elts if isinstance(ann.slice, ast.Tuple) else [ann.slice]
@@ -233,12 +215,13 @@ class MemModel:
     index: ProjectIndex
     #: class name -> slotting facts (framework classes included)
     slots: dict[str, SlotInfo]
-    #: (component class, method name) -> event type names it receives,
-    #: from the whole-program flow graph plus @handles declarations
-    handler_events: dict[tuple[str, str], set[str]]
 
-    def slot_info(self, name: str) -> Optional[SlotInfo]:
-        return self.slots.get(name)
+    def slot_info_for(self, info: ClassInfo) -> SlotInfo:
+        """Facts for one definition; re-derived when the name was reused."""
+        indexed = self.index.classes.get(info.name)
+        if indexed is not None and indexed.node is info.node:
+            return self.slots[info.name]
+        return build_slot_info(info)
 
     def chain_complete(self, name: str, _seen: Optional[set[str]] = None) -> bool:
         """True when ``name`` and every base up the chain is slotted.
@@ -281,26 +264,6 @@ class MemModel:
             frontier.extend(self.index.bases.get(current, ()))
         return frozenset(out)
 
-    def handlers_of(self, component: str) -> set[str]:
-        """Names of methods of ``component`` that run as event handlers."""
-        out = {
-            method
-            for (cls, method) in self.handler_events
-            if cls == component
-        }
-        info = self.index.classes.get(component)
-        if info is not None:
-            out.update(
-                name
-                for name, handler in info.handlers.items()
-                if handler.event_type is not None
-            )
-        return out
-
-    def events_of_handler(self, component: str, method: str) -> set[str]:
-        """Event type names delivered to ``component.method`` (may be empty)."""
-        return set(self.handler_events.get((component, method), ()))
-
     def mutable_fields(self, event: str) -> set[str]:
         """Field names of ``event`` (own + inherited) annotated mutable."""
         out: set[str] = set()
@@ -324,48 +287,10 @@ class MemModel:
         return out
 
 
-def build_mem_model(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> tuple[MemModel, dict[str, ModuleInfo]]:
-    """Build the model; returns it plus the scanned modules (findings set).
-
-    Framework modules are indexed so inherited slot chains ground, but
-    findings are only ever anchored in scanned files — the same contract
-    as the flow and dist passes.  The flow graph (same parse cache) maps
-    every subscription site in the program back to its handler method, so
-    M002/M003 see subscribe-based handlers, not just ``@handles`` ones.
-    """
-    config = config or AnalysisConfig()
-    scanned: dict[str, ModuleInfo] = {}
-    modules: list[ModuleInfo] = []
-    for path in iter_python_files(paths):
-        if config.path_excluded(path):
-            continue
-        module = parse_module(path)
-        if module is not None:
-            modules.append(module)
-            scanned[str(module.path)] = module
-    index = build_index(modules, _framework_registry_paths())
-
-    slots: dict[str, SlotInfo] = {
-        name: build_slot_info(info) for name, info in index.classes.items()
-    }
-
-    graph, _ = build_flow_graph(paths, config)
-    handler_events: dict[tuple[str, str], set[str]] = {}
-    for consumer in graph.consumers:
-        if consumer.component == "<module>":
-            continue
-        key = (consumer.component, consumer.handler)
-        bucket = handler_events.setdefault(key, set())
-        if consumer.event is not None:
-            bucket.add(consumer.event)
-    for name, info in index.classes.items():
-        for handler in info.handlers.values():
-            if handler.event_type is not None:
-                handler_events.setdefault((name, handler.name), set()).add(
-                    handler.event_type
-                )
-
-    return MemModel(index, slots, handler_events), scanned
+def build_mem_model(program: Program) -> MemModel:
+    """Slotting facts for every indexed class, framework included, so
+    inherited slot chains ground."""
+    index = program.index
+    return MemModel(
+        index, {name: build_slot_info(info) for name, info in index.classes.items()}
+    )

@@ -33,12 +33,24 @@ the compact codec), differential-tested in ``tests/runtime/test_shard.py``:
   ``dump_state``/``load_state`` hooks, so the component cannot be
   migrated to rebalance shards.
 
-Command line: ``python -m repro.analysis par src examples`` (same
-format/exit-code/suppression surface as the lint, flow, dist, and mem
-CLIs); also part of ``python -m repro.analysis all``.
+Command line: ``python -m repro.analysis par src examples`` (the one
+front-end every pass shares); also part of ``python -m repro.analysis all``.
 """
 
-from .checks import analyze_paths
-from .model import ParModel, build_par_model
+from pathlib import Path
+from typing import Iterable, Optional
 
-__all__ = ["ParModel", "analyze_paths", "build_par_model"]
+from ..config import AnalysisConfig
+from ..findings import Finding
+from .model import ParModel
+
+__all__ = ["ParModel", "analyze_paths"]
+
+
+def analyze_paths(
+    paths: Iterable[Path | str], config: Optional[AnalysisConfig] = None
+) -> list[Finding]:
+    """Run the par pass over files/directories; returns sorted findings."""
+    from ..driver import analyze_paths as analyze
+
+    return analyze("par", paths, config)

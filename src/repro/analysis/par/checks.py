@@ -1,71 +1,28 @@
-"""The P001–P006 checks over the extraction model.
+"""The P001–P006 checks over the program model.
 
-Each check yields ``(rule, message, module, line, col, extra)`` tuples
-anchored in scanned modules only; :func:`analyze_paths` applies rule
-selection and ``# repro: noqa[P...]`` suppression and returns sorted
-:class:`~repro.analysis.findings.Finding` records — the same driver
-contract as the lint, flow, dist, and mem passes.
+Each check yields ``(rule, message, file, line, col, extra)`` hits; the
+driver (:mod:`..driver`) walks the classes, applies rule selection and
+``# repro: noqa[P...]`` suppression, and drops hits outside the scanned
+files — the same contract as every other pass.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
-from ..ast_lint import (
-    COMPONENT_ROOT,
-    ClassInfo,
-    ModuleInfo,
-    ProjectIndex,
-    _base_name,
-)
-from ..config import AnalysisConfig, is_suppressed
-from ..findings import Finding
 from ..flow.graph import _CONTROL_PORTS
-from .model import (
-    A003_ATTRS,
-    COMPONENT_HANDLE_API,
-    MUTATOR_METHODS,
-    ParModel,
-    SharedState,
-    build_par_model,
-    class_body_mutables,
+from ..program import (
+    COMPONENTS,
+    ClassInfo,
+    Hit,
+    Program,
+    ProjectIndex,
+    base_name,
+    first_param,
+    self_attr,
 )
-
-_Raw = tuple[str, str, ModuleInfo, int, Optional[int], dict]
-
-
-def _class_info(
-    node: ast.ClassDef, module: ModuleInfo, index: ProjectIndex
-) -> ClassInfo:
-    """The index record for ``node``, re-bound if the name was reused."""
-    info = index.classes.get(node.name)
-    if info is not None and info.node is node:
-        return info
-    rebound = ClassInfo(
-        node.name, module, node, tuple(b for b in map(_base_name, node.bases) if b)
-    )
-    for item in node.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            rebound.methods[item.name] = item
-    return rebound
-
-
-def _first_param(method: ast.FunctionDef) -> Optional[str]:
-    args = method.args.posonlyargs + method.args.args
-    return args[0].arg if args else None
-
-
-def _self_attr(expr: ast.expr, selfname: str) -> Optional[str]:
-    """``self.attr`` -> ``"attr"``; anything else -> None."""
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == selfname
-    ):
-        return expr.attr
-    return None
+from .model import A003_ATTRS, COMPONENT_HANDLE_API, class_body_mutables
 
 
 def _local_names(method: ast.FunctionDef) -> set[str]:
@@ -95,7 +52,7 @@ def _instance_assigned_attrs(info: ClassInfo) -> set[str]:
     """Attrs assigned as ``self.x = ...`` anywhere in the class."""
     out: set[str] = set()
     for method in info.methods.values():
-        selfname = _first_param(method)
+        selfname = first_param(method)
         if selfname is None:
             continue
         for node in ast.walk(method):
@@ -105,7 +62,7 @@ def _instance_assigned_attrs(info: ClassInfo) -> set[str]:
             elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
                 targets = [node.target]
             for target in targets:
-                attr = _self_attr(target, selfname)
+                attr = self_attr(target, selfname)
                 if attr is not None:
                     out.add(attr)
     return out
@@ -136,21 +93,17 @@ def _chain_class_mutables(
 # ------------------------------------------------------------------- P001
 
 
-def _check_divergent_state(
-    node: ast.ClassDef,
-    module: ModuleInfo,
-    model: ParModel,
-    info: ClassInfo,
-    shared: SharedState,
-) -> Iterator[_Raw]:
-    handlers = model.handlers_of(node.name)
+def check_divergent_state(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    node, module = info.node, info.module
+    shared = program.par.shared[str(module.path)]
+    handlers = program.handlers_of(node.name)
     #: module-level containers with mutation evidence anywhere in the module
     hot_globals = {
         name: line
         for name, line in shared.module_mutables.items()
         if name in shared.module_mutated
     }
-    class_mutables = _chain_class_mutables(node.name, model.index)
+    class_mutables = _chain_class_mutables(node.name, program.index)
     instance_attrs = _instance_assigned_attrs(info)
     #: class attrs shadowed by an instance assignment are per-instance state
     shared_class_attrs = {
@@ -162,7 +115,7 @@ def _check_divergent_state(
         method = info.methods.get(name)
         if method is None:
             continue
-        selfname = _first_param(method)
+        selfname = first_param(method)
         local = _local_names(method)
         reported: set[tuple[str, int]] = set()
 
@@ -174,7 +127,7 @@ def _check_divergent_state(
             return (
                 "P001",
                 msg,
-                module,
+                str(module.path),
                 line,
                 col,
                 {"class": node.name, "handler": name, kind: ident},
@@ -213,15 +166,15 @@ def _check_divergent_state(
                 base = sub.value
                 via_class = (
                     isinstance(base, (ast.Name, ast.Attribute))
-                    and _base_name(base) in (node.name, where[0])
+                    and base_name(base) in (node.name, where[0])
                 ) or (
                     isinstance(base, ast.Attribute)
                     and base.attr == "__class__"
                 ) or (
                     isinstance(base, ast.Call)
-                    and _base_name(base.func) == "type"
+                    and base_name(base.func) == "type"
                 )
-                via_self = selfname is not None and _self_attr(sub, selfname) == attr
+                via_self = selfname is not None and self_attr(sub, selfname) == attr
                 if not (via_class or via_self):
                     continue
                 raw = report(
@@ -239,31 +192,29 @@ def _check_divergent_state(
 # ------------------------------------------------------------------- P002
 
 
-def _check_reach_through(
-    node: ast.ClassDef,
-    module: ModuleInfo,
-    model: ParModel,
-    info: ClassInfo,
-) -> Iterator[_Raw]:
-    handle = model.handles.get(node.name)
-    if handle is None or not (handle.child_attrs or handle.definition_attrs):
+def check_reach_through(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    node, path = info.node, str(info.module.path)
+    comp = program.dist.components.get(node.name)
+    definition_attrs = program.par.held_definitions.get(node.name, frozenset())
+    child_attrs = comp.child_attrs if comp is not None else frozenset()
+    if not (child_attrs or definition_attrs):
         return
-    handlers = model.handlers_of(node.name)
+    handlers = program.handlers_of(node.name)
     for name in sorted(handlers):
         method = info.methods.get(name)
         if method is None:
             continue
-        selfname = _first_param(method)
+        selfname = first_param(method)
         if selfname is None:
             continue
         reported: set[int] = set()
         for sub in ast.walk(method):
             if not isinstance(sub, ast.Attribute):
                 continue
-            held = _self_attr(sub.value, selfname)
+            held = self_attr(sub.value, selfname)
             if held is None or sub.lineno in reported:
                 continue
-            if held in handle.definition_attrs:
+            if held in definition_attrs:
                 reported.add(sub.lineno)
                 yield (
                     "P002",
@@ -271,13 +222,13 @@ def _check_reach_through(
                     "held reference to another component instance; a process "
                     "boundary severs the reference — communicate through a "
                     "port (trigger an event) instead",
-                    module,
+                    path,
                     sub.lineno,
                     sub.col_offset,
                     {"class": node.name, "handler": name, "attr": held,
                      "access": sub.attr},
                 )
-            elif held in handle.child_attrs:
+            elif held in child_attrs:
                 if sub.attr in COMPONENT_HANDLE_API or sub.attr in A003_ATTRS:
                     continue  # port API; .definition/.core are A003's
                 reported.add(sub.lineno)
@@ -287,7 +238,7 @@ def _check_reach_through(
                     f"self.{held}; only the port-access API "
                     "(provided/required) survives sharding — route the "
                     "interaction through a channel",
-                    module,
+                    path,
                     sub.lineno,
                     sub.col_offset,
                     {"class": node.name, "handler": name, "attr": held,
@@ -298,10 +249,8 @@ def _check_reach_through(
 # ------------------------------------------------------------------- P003
 
 
-def _check_shard_cut(
-    model: ParModel, scanned: dict[str, ModuleInfo]
-) -> Iterator[_Raw]:
-    graph = model.graph
+def check_shard_cut(program: Program) -> Iterator[Hit]:
+    model, graph, scanned = program.par, program.flow_graph, program.scanned
     reported: set[tuple[str, int, str]] = set()
     for producer in graph.producers:
         if producer.event is None or producer.port_type in _CONTROL_PORTS:
@@ -314,14 +263,12 @@ def _check_shard_cut(
         ):
             if not model.crosses_shard_cut(producer.component, consumer.component):
                 continue
-            module = scanned.get(producer.file)
-            line, col = producer.line, producer.col
-            if module is None:
-                module = scanned.get(consumer.file)
-                line, col = consumer.line, consumer.col
-            if module is None:
+            path, line, col = producer.file, producer.line, producer.col
+            if path not in scanned:
+                path, line, col = consumer.file, consumer.line, consumer.col
+            if path not in scanned:
                 continue  # neither endpoint in the scanned set
-            key = (str(module.path), line, producer.event)
+            key = (path, line, producer.event)
             if key in reported:
                 continue
             reported.add(key)
@@ -332,7 +279,7 @@ def _check_shard_cut(
                 f"{consumer.component} on {producer.port_type} — the classes "
                 "share no composite subtree, so this edge crosses a candidate "
                 f"shard cut, but the event is not wire-safe ({reasons})",
-                module,
+                path,
                 line,
                 col,
                 {
@@ -362,27 +309,23 @@ def _identity_safe(expr: ast.expr, index: ProjectIndex) -> bool:
     if isinstance(expr, ast.Constant):
         return isinstance(expr.value, _SAFE_SINGLETONS)
     if isinstance(expr, ast.Attribute):
-        owner = _base_name(expr.value)
+        owner = base_name(expr.value)
         if owner is not None and any(
             index.descends_from(owner, root) for root in _ENUM_ROOTS
         ):
             return True  # EnumClass.MEMBER
-        name = _base_name(expr)
+        name = base_name(expr)
         return name is not None and name in index.classes
     if isinstance(expr, ast.Name):
         return expr.id in index.classes
     if isinstance(expr, ast.Call):
-        return _base_name(expr.func) == "type"
+        return base_name(expr.func) == "type"
     return False
 
 
-def _check_identity_affinity(
-    node: ast.ClassDef,
-    module: ModuleInfo,
-    model: ParModel,
-    info: ClassInfo,
-) -> Iterator[_Raw]:
-    handlers = model.handlers_of(node.name)
+def check_identity_affinity(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    node, module, path = info.node, info.module, str(info.module.path)
+    handlers = program.handlers_of(node.name)
     for name in sorted(handlers):
         method = info.methods.get(name)
         if method is None:
@@ -403,7 +346,7 @@ def _check_identity_affinity(
                         "meaningful inside this process and collides or "
                         "dangles across shard workers — key by value "
                         "(address, op id) instead",
-                        module,
+                        path,
                         sub.lineno,
                         sub.col_offset,
                         {"class": node.name, "handler": name, "form": "id"},
@@ -413,8 +356,8 @@ def _check_identity_affinity(
                 for op, right in zip(sub.ops, sub.comparators):
                     if isinstance(op, (ast.Is, ast.IsNot)):
                         if not (
-                            _identity_safe(left, model.index)
-                            or _identity_safe(right, model.index)
+                            _identity_safe(left, program.index)
+                            or _identity_safe(right, program.index)
                         ):
                             yield (
                                 "P004",
@@ -425,7 +368,7 @@ def _check_identity_affinity(
                                 "survive a process boundary (decoded payloads "
                                 "are fresh objects; Address preserves 'is' "
                                 "only via intern()) — compare by value",
-                                module,
+                                path,
                                 sub.lineno,
                                 sub.col_offset,
                                 {"class": node.name, "handler": name,
@@ -449,27 +392,23 @@ def _nonblocking_call(call: ast.Call) -> bool:
     return False
 
 
-def _check_sync_primitives(
-    node: ast.ClassDef,
-    module: ModuleInfo,
-    model: ParModel,
-    info: ClassInfo,
-) -> Iterator[_Raw]:
-    sync = model.sync_attrs(node.name)
+def check_sync_primitives(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    node, path = info.node, str(info.module.path)
+    sync = program.par.sync_attrs(node.name)
     if not sync:
         return
-    handlers = model.handlers_of(node.name)
+    handlers = program.handlers_of(node.name)
     for name in sorted(handlers):
         method = info.methods.get(name)
         if method is None:
             continue
-        selfname = _first_param(method)
+        selfname = first_param(method)
         if selfname is None:
             continue
         for sub in ast.walk(method):
             if isinstance(sub, ast.With):
                 for item in sub.items:
-                    attr = _self_attr(item.context_expr, selfname)
+                    attr = self_attr(item.context_expr, selfname)
                     if attr is None or attr not in sync:
                         continue
                     ctor, methods = sync[attr]
@@ -481,14 +420,14 @@ def _check_sync_primitives(
                         f"({ctor}): the handler blocks a scheduler worker "
                         "until the holder releases — a lock-shaped stall "
                         "that can deadlock a shard's worker pool",
-                        module,
+                        path,
                         item.context_expr.lineno,
                         item.context_expr.col_offset,
                         {"class": node.name, "handler": name, "attr": attr,
                          "ctor": ctor},
                     )
             elif isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                attr = _self_attr(sub.func.value, selfname)
+                attr = self_attr(sub.func.value, selfname)
                 if attr is None or attr not in sync:
                     continue
                 ctor, methods = sync[attr]
@@ -501,7 +440,7 @@ def _check_sync_primitives(
                     "lock-shaped stall that can deadlock a shard's worker "
                     "pool (hand the work to a dedicated thread outside the "
                     "handler, as ThreadTimer/TcpNetwork do)",
-                    module,
+                    path,
                     sub.lineno,
                     sub.col_offset,
                     {"class": node.name, "handler": name, "attr": attr,
@@ -512,12 +451,9 @@ def _check_sync_primitives(
 # ------------------------------------------------------------------- P006
 
 
-def _check_unpinnable(
-    node: ast.ClassDef,
-    module: ModuleInfo,
-    model: ParModel,
-) -> Iterator[_Raw]:
-    comp = model.component_model(node.name)
+def check_unpinnable(program: Program, info: ClassInfo) -> Iterator[Hit]:
+    node = info.node
+    comp = program.dist.components.get(node.name)
     if comp is None or not comp.mutable_attrs or comp.has_state_hooks:
         return
     attrs = ", ".join(sorted(comp.mutable_attrs))
@@ -527,56 +463,20 @@ def _check_unpinnable(
         "dump_state nor load_state: section-2.6 state transfer cannot "
         "migrate it, so the component is pinned to its birth shard — "
         "implement both hooks (or justify the pin with a noqa)",
-        module,
+        str(info.module.path),
         node.lineno,
         node.col_offset,
         {"class": node.name, "attrs": sorted(comp.mutable_attrs)},
     )
 
 
-# ----------------------------------------------------------------- driver
+# --------------------------------------------------------------- registry
 
-
-def analyze_paths(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> list[Finding]:
-    """Run the par pass over files/directories; returns sorted findings."""
-    config = config or AnalysisConfig()
-    model, scanned = build_par_model(paths, config)
-    index = model.index
-
-    raw: list[_Raw] = []
-    for module in scanned.values():
-        shared = model.shared[str(module.path)]
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if not index.is_component(node.name) or node.name == COMPONENT_ROOT:
-                continue
-            info = _class_info(node, module, index)
-            raw.extend(_check_divergent_state(node, module, model, info, shared))
-            raw.extend(_check_reach_through(node, module, model, info))
-            raw.extend(_check_identity_affinity(node, module, model, info))
-            raw.extend(_check_sync_primitives(node, module, model, info))
-            raw.extend(_check_unpinnable(node, module, model))
-    raw.extend(_check_shard_cut(model, scanned))
-
-    findings: list[Finding] = []
-    for rule_id, message, module, line, col, extra in raw:
-        if not config.rule_enabled(rule_id):
-            continue
-        if is_suppressed(rule_id, module.line(line)):
-            continue
-        findings.append(
-            Finding(
-                rule=rule_id,
-                message=message,
-                file=str(module.path),
-                line=line,
-                col=col,
-                extra=extra,
-            )
-        )
-    findings.sort(key=lambda f: (f.file or "", f.line or 0, f.rule))
-    return findings
+CLASS_CHECKS = (
+    (COMPONENTS, check_divergent_state),    # P001
+    (COMPONENTS, check_reach_through),      # P002
+    (COMPONENTS, check_identity_affinity),  # P004
+    (COMPONENTS, check_sync_primitives),    # P005
+    (COMPONENTS, check_unpinnable),         # P006
+)
+PROGRAM_CHECKS = (check_shard_cut,)         # P003

@@ -1,12 +1,11 @@
 """Extraction model for the shard-safety pass.
 
-Everything here is derived from the shared :mod:`..ast_lint` index, the
-dist pass's component/event models, and the flow pass's producer/consumer
-graph — no imports of analyzed code, and every source file is parsed once
-through the shared cache.  The model answers four questions:
+Everything here is derived from the shared :mod:`..program` model — its
+index, its dist facet (component/event models) and its flow graph — with
+no imports of analyzed code.  Which methods run as handlers is
+:meth:`Program.handlers_of <repro.analysis.program.Program.handlers_of>`;
+this model answers three more questions:
 
-- handlers: which methods of a component run as event handlers
-  (``@handles`` plus every subscription site the flow graph grounds)?
 - shared state: which module-level and class-level names are bound to
   mutable containers, and which ``self`` attributes hold references to
   other component instances or synchronization primitives?
@@ -26,24 +25,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
-from ..ast_lint import (
+from ..dist.model import DistModel, _is_mutable_value
+from ..program import (
     ClassInfo,
     ModuleInfo,
+    Program,
     ProjectIndex,
-    _base_name,
+    base_name,
+    is_classvar,
+    self_attr,
 )
-from ..config import AnalysisConfig
-from ..dist.model import (
-    ComponentModel,
-    DistModel,
-    _is_mutable_value,
-    _resolve_dotted,
-    build_dist_model,
-)
-from ..flow.graph import FlowGraph, build_flow_graph
 
 #: Constructors (resolved through the module's import table) whose result
 #: is a synchronization primitive a handler must never block on.  The
@@ -105,25 +98,6 @@ class SharedState:
     class_mutables: dict[str, dict[str, int]]
 
 
-@dataclass(frozen=True)
-class HandleInfo:
-    """Component-reference attributes of one component class."""
-
-    #: attrs holding a ``Component`` handle (``self.create(...)``)
-    child_attrs: frozenset[str]
-    #: attrs holding another ``ComponentDefinition`` instance directly
-    #: (constructed or received through an annotated parameter/field)
-    definition_attrs: frozenset[str]
-
-
-def _is_classvar(ann: ast.expr) -> bool:
-    for node in ast.walk(ann):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            if _base_name(node) == "ClassVar":
-                return True
-    return False
-
-
 def class_body_mutables(node: ast.ClassDef) -> dict[str, int]:
     """Class-body names bound to mutable containers (shared class attrs)."""
     attrs: dict[str, int] = {}
@@ -138,7 +112,7 @@ def class_body_mutables(node: ast.ClassDef) -> dict[str, int]:
             isinstance(item, ast.AnnAssign)
             and isinstance(item.target, ast.Name)
             and item.value is not None
-            and _is_classvar(item.annotation)
+            and is_classvar(item.annotation)
             and _is_mutable_value(item.value)
         ):
             attrs.setdefault(item.target.id, item.lineno)
@@ -216,13 +190,15 @@ def _annotated_component(ann: Optional[ast.expr], index: ProjectIndex) -> bool:
             ann = ast.parse(ann.value, mode="eval").body
         except SyntaxError:
             return False
-    name = _base_name(ann) if isinstance(ann, (ast.Name, ast.Attribute)) else None
+    name = base_name(ann) if isinstance(ann, (ast.Name, ast.Attribute)) else None
     return name is not None and index.is_component(name)
 
 
-def build_handle_info(info: ClassInfo, index: ProjectIndex) -> HandleInfo:
-    """Which ``self`` attributes of ``info`` reference other components."""
-    child_attrs: set[str] = set()
+def held_definitions(info: ClassInfo, index: ProjectIndex) -> frozenset[str]:
+    """``self`` attributes of ``info`` holding another ``ComponentDefinition``
+    instance directly: constructed, or received through an annotated
+    parameter/field.  (``Component`` handles from ``self.create(...)`` are
+    the component model's ``child_attrs``.)"""
     definition_attrs: set[str] = set()
     for method in info.methods.values():
         selfname = method.args.args[0].arg if method.args.args else None
@@ -241,33 +217,23 @@ def build_handle_info(info: ClassInfo, index: ProjectIndex) -> HandleInfo:
             else:
                 continue
             for target in targets:
-                if not (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == selfname
-                ):
+                attr = self_attr(target, selfname)
+                if attr is None:
                     continue
-                attr = target.attr
                 if isinstance(stmt, ast.AnnAssign) and _annotated_component(
                     stmt.annotation, index
                 ):
                     definition_attrs.add(attr)
                 if isinstance(value, ast.Call):
                     fn = value.func
-                    if (
-                        isinstance(fn, ast.Attribute)
-                        and isinstance(fn.value, ast.Name)
-                        and fn.value.id == selfname
-                        and fn.attr == "create"
-                    ):
-                        child_attrs.add(attr)
+                    if self_attr(fn, selfname) == "create":
                         continue
-                    ctor = _base_name(fn)
+                    ctor = base_name(fn)
                     if ctor is not None and index.is_component(ctor):
                         definition_attrs.add(attr)
                 elif isinstance(value, ast.Name) and value.id in component_params:
                     definition_attrs.add(attr)
-    return HandleInfo(frozenset(child_attrs), frozenset(definition_attrs))
+    return frozenset(definition_attrs)
 
 
 def _created_classes(info: ClassInfo) -> set[str]:
@@ -280,14 +246,8 @@ def _created_classes(info: ClassInfo) -> set[str]:
         for node in ast.walk(method):
             if not isinstance(node, ast.Call) or not node.args:
                 continue
-            fn = node.func
-            if (
-                isinstance(fn, ast.Attribute)
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id == selfname
-                and fn.attr == "create"
-            ):
-                name = _base_name(node.args[0])
+            if self_attr(node.func, selfname) == "create":
+                name = base_name(node.args[0])
                 if name is not None:
                     out.add(name)
     return out
@@ -297,35 +257,14 @@ def _created_classes(info: ClassInfo) -> set[str]:
 class ParModel:
     """Everything the P checks need, shared across rules."""
 
-    index: ProjectIndex
     dist: DistModel
-    graph: FlowGraph
     #: module path -> shared-state facts
     shared: dict[str, SharedState]
-    #: component class name -> handle facts
-    handles: dict[str, HandleInfo]
+    #: component class name -> attrs holding another component definition
+    held_definitions: dict[str, frozenset[str]]
     #: component class name -> component classes it creates
     creates: dict[str, set[str]]
-    #: (component class, method name) -> event type names it receives
-    handler_events: dict[tuple[str, str], set[str]]
     _subtrees: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def component_model(self, name: str) -> Optional[ComponentModel]:
-        return self.dist.components.get(name)
-
-    def handlers_of(self, component: str) -> set[str]:
-        """Names of methods of ``component`` that run as event handlers."""
-        out = {
-            method for (cls, method) in self.handler_events if cls == component
-        }
-        info = self.index.classes.get(component)
-        if info is not None:
-            out.update(
-                name
-                for name, handler in info.handlers.items()
-                if handler.event_type is not None
-            )
-        return out
 
     def subtree(self, component: str) -> frozenset[str]:
         """``component`` plus every class reachable through ``create``."""
@@ -376,53 +315,21 @@ class ParModel:
         return out
 
 
-def build_par_model(
-    paths: Iterable[Path | str],
-    config: Optional[AnalysisConfig] = None,
-) -> tuple[ParModel, dict[str, ModuleInfo]]:
-    """Build the model; returns it plus the scanned modules (findings set).
-
-    Reuses the dist model (components, event verdicts, registrations) and
-    the flow graph (producer/consumer edges) — all through the shared
-    parse cache, so the combined ``all`` run still parses each file once.
-    Findings are only ever anchored in scanned files; the framework is
-    context, exactly as in the flow/dist/mem passes.
-    """
-    config = config or AnalysisConfig()
-    dist, scanned = build_dist_model(paths, config)
-    graph, _ = build_flow_graph(paths, config)
-    index = dist.index
-
+def build_par_model(program: Program) -> ParModel:
+    """Shared-state facts per scanned module; handle and containment
+    facts per indexed component (framework included, so subtrees ground)."""
+    index = program.index
     shared = {
-        path: build_shared_state(module) for path, module in scanned.items()
+        path: build_shared_state(module)
+        for path, module in program.scanned.items()
     }
-    handles: dict[str, HandleInfo] = {}
+    held: dict[str, frozenset[str]] = {}
     creates: dict[str, set[str]] = {}
     for name, info in index.classes.items():
         if not index.is_component(name):
             continue
-        handles[name] = build_handle_info(info, index)
+        held[name] = held_definitions(info, index)
         created = _created_classes(info)
         if created:
             creates[name] = created
-
-    handler_events: dict[tuple[str, str], set[str]] = {}
-    for consumer in graph.consumers:
-        if consumer.component == "<module>":
-            continue
-        bucket = handler_events.setdefault(
-            (consumer.component, consumer.handler), set()
-        )
-        if consumer.event is not None:
-            bucket.add(consumer.event)
-    for name, info in index.classes.items():
-        for handler in info.handlers.values():
-            if handler.event_type is not None:
-                handler_events.setdefault((name, handler.name), set()).add(
-                    handler.event_type
-                )
-
-    return (
-        ParModel(index, dist, graph, shared, handles, creates, handler_events),
-        scanned,
-    )
+    return ParModel(program.dist, shared, held, creates)

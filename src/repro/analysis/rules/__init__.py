@@ -4,7 +4,7 @@ Each rule module exposes ``check(ctx) -> Iterator[(rule_id, message, node)]``
 where ``ctx`` is a
 :class:`~repro.analysis.ast_lint.ComponentClassContext`.  Rules never
 import or execute user code; they reason over the syntax tree plus the
-name-level :class:`~repro.analysis.ast_lint.ProjectIndex` and stay silent
+name-level :class:`~repro.analysis.program.ProjectIndex` and stay silent
 whenever a name cannot be grounded in the index.
 """
 

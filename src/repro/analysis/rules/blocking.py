@@ -12,6 +12,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..program import dotted_name
+
 RULE = "A002"
 
 #: Dotted call targets that block (resolved through the module's imports).
@@ -55,24 +57,13 @@ BLOCKING_PATH_METHODS = frozenset(
 BLOCKING_BOUND_METHODS = frozenset({"accept", "recv", "recvfrom", "recv_into"})
 
 
-def _dotted_name(node: ast.expr) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
 def check(ctx) -> Iterator[tuple[str, str, ast.AST]]:
     imports = ctx.module.imports
     for handler in ctx.handler_methods():
         for node in ast.walk(handler.node):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted is not None:
                 resolved = _resolve(dotted, imports)
                 if resolved in BLOCKING_DOTTED or (
@@ -93,7 +84,7 @@ def check(ctx) -> Iterator[tuple[str, str, ast.AST]]:
             if (
                 method in BLOCKING_PATH_METHODS
                 and isinstance(receiver, ast.Call)
-                and _resolve(_dotted_name(receiver.func) or "", imports)
+                and _resolve(dotted_name(receiver.func) or "", imports)
                 == "pathlib.Path"
             ):
                 yield (

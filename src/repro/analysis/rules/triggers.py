@@ -14,6 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional
 
+from ..program import self_attr
+
 RULE = "A005"
 
 
@@ -67,31 +69,22 @@ def _resolve_face(
     from ``self.provides(...)/self.requires(...)`` within the same method.
     Control ports and anything else stay unresolved (no finding).
     """
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return ctx.ports.get(node.attr)
+    attr = self_attr(node, "self")
+    if attr is not None:
+        return ctx.ports.get(attr)
     if isinstance(node, ast.Name):
         local: Optional[tuple[str, bool]] = None
         for stmt in ast.walk(method):
             if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)):
                 continue
-            fn = stmt.value.func
-            if not (
-                isinstance(fn, ast.Attribute)
-                and isinstance(fn.value, ast.Name)
-                and fn.value.id == "self"
-                and fn.attr in ("provides", "requires")
-                and stmt.value.args
-            ):
+            called = self_attr(stmt.value.func, "self")
+            if called not in ("provides", "requires") or not stmt.value.args:
                 continue
             for target in stmt.targets:
                 if isinstance(target, ast.Name) and target.id == node.id:
                     port_name = stmt.value.args[0]
                     name = port_name.id if isinstance(port_name, ast.Name) else None
                     if name is not None:
-                        local = (name, fn.attr == "provides")
+                        local = (name, called == "provides")
         return local
     return None

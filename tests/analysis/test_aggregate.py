@@ -9,13 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.aggregate import (
+from repro.analysis import cli
+from repro.analysis.driver import (
     load_wiring_root,
-    main,
     merged_findings,
     run_all,
     verify_example_assemblies,
 )
+
+
+def main(argv):
+    return cli.main(["all", *argv])
+
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -168,3 +173,33 @@ def test_whole_tree_aggregate_is_clean(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0, report["counts"]
     assert report["total"] == 0
+
+
+def test_all_run_builds_the_model_once(monkeypatch, capsys):
+    """One `all` run scans and indexes the tree once and derives each
+    shared facet once, however many passes read it (8 indexes, 4 flow
+    graphs and 2 dist models before the passes shared a Program); that
+    each file is parsed once is a consequence."""
+    from repro.analysis import program
+    from repro.analysis.dist import model as dist_model
+    from repro.analysis.flow import graph as flow_graph
+
+    built = {"index": 0, "flow": 0, "dist": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            built[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(program, "build_index", counting("index", program.build_index))
+    monkeypatch.setattr(
+        flow_graph, "build_flow_graph", counting("flow", flow_graph.build_flow_graph)
+    )
+    monkeypatch.setattr(
+        dist_model, "build_dist_model", counting("dist", dist_model.build_dist_model)
+    )
+
+    assert main([str(ROOT / "src" / "repro"), str(ROOT / "examples")]) == 0
+    capsys.readouterr()
+    assert built == {"index": 1, "flow": 1, "dist": 1}

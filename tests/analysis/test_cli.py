@@ -150,3 +150,49 @@ def test_module_invocation_on_own_source_tree():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_select_that_names_no_rule_is_a_usage_error(tmp_path, capsys):
+    """A typo must not pass vacuously: same check as [tool.repro.analysis]."""
+    (tmp_path / "bad.py").write_text(BAD_MODULE)
+    for flag in ("--select", "--ignore"):
+        assert main([str(tmp_path), flag, "ZZZ"]) == 2
+        assert "unknown rule or prefix 'ZZZ'" in capsys.readouterr().err
+        assert main(["all", str(tmp_path), flag, "A001,ZZZ"]) == 2
+        capsys.readouterr()
+
+
+def test_select_outside_the_passes_being_run_is_a_usage_error(tmp_path, capsys):
+    """--select D001 on the lint would report nothing whatever the tree
+    holds; the rule exists, but no pass being run can raise it."""
+    (tmp_path / "bad.py").write_text(BAD_MODULE)
+    assert main([str(tmp_path), "--select", "D001"]) == 2
+    assert "names no rule of the pass(es) being run (lint)" in capsys.readouterr().err
+    assert main(["flow", str(tmp_path), "--ignore", "A"]) == 2
+    capsys.readouterr()
+    # W* is reportable by `all` only when example assemblies are verified.
+    assert main(["all", str(tmp_path), "--select", "W"]) == 2
+    capsys.readouterr()
+    assert main(
+        ["all", str(tmp_path), "--select", "W", "--wiring-examples", str(tmp_path)]
+    ) == 0
+    # The same prefix is fine where a pass being run owns it, and in the
+    # config file, which every pass shares.
+    assert main(["all", str(tmp_path), "--select", "D001"]) == 0
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro.analysis]\nignore = ["D001"]\n'
+    )
+    assert main([str(tmp_path)]) == 1
+    capsys.readouterr()
+
+
+def test_list_rules_on_every_subcommand(capsys):
+    for command, prefix in (
+        ("lint", "A"), ("flow", "F"), ("dist", "D"), ("mem", "M"), ("par", "P")
+    ):
+        assert main([command, "--list-rules"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert listed and all(rule_id.startswith(prefix) for rule_id in listed)
+    assert main(["all", "--list-rules"]) == 0
+    listed = {line.split()[0][0] for line in capsys.readouterr().out.splitlines()}
+    assert listed == set("AFDMP")

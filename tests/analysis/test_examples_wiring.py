@@ -16,7 +16,7 @@ import pytest
 
 from repro import ComponentSystem, ManualScheduler
 from repro.analysis import verify_system
-from repro.analysis.aggregate import load_wiring_root
+from repro.analysis.driver import load_wiring_root
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 

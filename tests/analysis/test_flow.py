@@ -13,7 +13,14 @@ import pytest
 
 from repro.analysis import AnalysisConfig
 from repro.analysis.cli import main
-from repro.analysis.flow import analyze_paths, build_flow_graph, to_dot
+from repro.analysis.flow import analyze_paths, to_dot
+from repro.analysis.program import Program
+
+
+def build_flow_graph(paths):
+    program = Program.load(paths)
+    return program.flow_graph, program.scanned
+
 
 ROOT = Path(__file__).resolve().parents[2]
 
