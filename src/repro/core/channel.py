@@ -16,6 +16,10 @@ Channels forward events in both directions in FIFO order (paper section
 A channel may carry a *selector*: a predicate over events that must hold for
 the event to be forwarded (used e.g. to route per-destination traffic when
 several components share a provider).
+
+Compiled plans (:mod:`repro.core.routing`) read a channel from the faces at
+its two ends, so every command here first changes the channel and then
+invalidates the readers of both ends — and no other face's.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ class Channel:
         self._lock = threading.RLock()
         provider.attach_channel(self)
         requirer.attach_channel(self)
-        _bump_generation(provider)
+        routing.invalidate(provider, requirer)
 
     # ------------------------------------------------------------------ ends
 
@@ -114,26 +118,25 @@ class Channel:
         # compiles to an empty plan.
         routing.execute(destination, event, direction)
 
-    def _bump(self) -> None:
-        """Invalidate compiled plans after a state change on this channel."""
-        end = self.positive_end if self.positive_end is not None else self.negative_end
-        if end is not None:
-            _bump_generation(end)
+    def _invalidate(self, detached: Optional[PortFace] = None) -> None:
+        """Drop the plans that read this channel, after a change to it: those
+        that read either end or ``detached``, an end just unplugged."""
+        routing.invalidate(self.positive_end, self.negative_end, detached)
 
     # --------------------------------------------------------- reconfiguration
 
     def hold(self) -> None:
         """Stop forwarding and start queueing events in both directions.
 
-        Bumps the topology generation so compiled plans that inlined this
-        channel are recompiled with a queue-stop step in its place.
+        Compiled plans that inlined this channel are dropped, to be
+        recompiled with a queue-stop step in its place.
         """
         with self._lock:
             self.held = True
             hook = _race_channel
             if hook is not None:
                 hook("hold", self, ())
-        self._bump()
+        self._invalidate()
 
     def resume(self) -> None:
         """Flush queued events in order, then resume normal forwarding."""
@@ -144,7 +147,7 @@ class Channel:
             with self._lock:
                 if not self._queue:
                     self.held = False
-                    self._bump()  # plans may re-inline this channel
+                    self._invalidate()  # plans may re-inline this channel
                     return
                 event, direction = self._queue.popleft()
                 # Flushed events go toward whichever end can now receive
@@ -177,7 +180,7 @@ class Channel:
             hook = _race_channel
             if hook is not None:
                 hook("unplug", self, ())
-        _bump_generation(face)
+        self._invalidate(detached=face)
 
     def plug(self, face: PortFace) -> None:
         """Attach the unplugged end of the channel to ``face``."""
@@ -203,19 +206,20 @@ class Channel:
                     self,
                     tuple(event for event, _ in (self._queue or ())),
                 )
-        _bump_generation(face)
+        self._invalidate()
 
     def destroy(self) -> None:
         """Disconnect both ends and drop the channel (and any queued events)."""
         with self._lock:
             self.destroyed = True
-            for end in (self.positive_end, self.negative_end):
+            ends = (self.positive_end, self.negative_end)
+            for end in ends:
                 if end is not None and self in end.channels:
                     end.channels.remove(self)
-                    _bump_generation(end)
             self.positive_end = None
             self.negative_end = None
             self._queue = None
+        routing.invalidate(*ends)
 
     @property
     def queued(self) -> int:
@@ -245,8 +249,3 @@ def disconnect(face_a: PortFace, face_b: PortFace) -> None:
             return
     raise KConnectionError(f"no channel connects {face_a!r} and {face_b!r}")
 
-
-def _bump_generation(face: PortFace) -> None:
-    system = face.owner.system
-    if system is not None:
-        system.bump_generation()

@@ -24,7 +24,7 @@ import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional, TypeVar
 
 from . import channel as channel_mod
-from . import dispatch
+from . import dispatch, routing
 from .errors import ConfigurationError, LifecycleError, SanitizerError
 from .event import Event
 from .fault import Fault, escalate
@@ -173,7 +173,7 @@ class ComponentDefinition:
         face.attach_subscription(subscription)
         face._handlers = None
         self._core.note_init_subscription(subscription, face)
-        self.system.bump_generation()
+        routing.invalidate(face)
 
     def unsubscribe(self, handler: HandlerFn, face: PortFace) -> None:
         """Remove this component's subscription of ``handler`` from ``face``."""
@@ -181,7 +181,7 @@ class ComponentDefinition:
             if subscription.handler == handler and subscription.owner is self._core:
                 face.subscriptions.remove(subscription)
                 face._handlers = None
-                self.system.bump_generation()
+                routing.invalidate(face)
                 return
         raise ConfigurationError(f"{handler!r} is not subscribed at {face!r}")
 
@@ -204,7 +204,6 @@ class ComponentDefinition:
             self.system, definition, args, kwargs, parent=self._core, name=name
         )
         self._core.children.append(core)
-        self.system.bump_generation()
         if init is not None:
             dispatch.trigger(init, core.control_port.outside)
         return core.component
@@ -755,7 +754,10 @@ class ComponentCore:
                 for ch in tuple(face.channels):
                     ch.destroy()
                 face.subscriptions = ()  # back to the shared empty sentinel
-                face._plans = None  # drop compiled routes rooted here
+            # Drop the routes rooted here and those of others that read
+            # these faces, and hand back the reader records: a late trigger
+            # at a destroyed component must reach nobody.
+            routing.invalidate(port.inside, port.outside)
         try:
             self.definition.tear_down()
         except Exception:  # noqa: BLE001 - teardown must not break destroy
@@ -765,7 +767,6 @@ class ComponentCore:
         if self.parent is not None and self in self.parent.children:
             self.parent.children.remove(self)
         self.system.unregister_component(self)
-        self.system.bump_generation()
 
     # ------------------------------------------------------------- inspection
 

@@ -20,8 +20,9 @@ channel is skipped when no compatible subscription is transitively reachable
 through it.
 
 The rules are not walked per event: :mod:`repro.core.routing` flattens the
-walk from a ``(face, event type, direction)`` once per topology generation
-into a :class:`~repro.core.routing.DeliveryPlan` — the pruning falls out of
+walk from a ``(face, event type, direction)`` into a
+:class:`~repro.core.routing.DeliveryPlan` that stays cached until a
+reconfiguration changes a face it read — the pruning falls out of
 compilation, since a subtree without a compatible subscription contributes
 no steps — and :func:`trigger` replays that plan.  Handlers are matched at
 execution time, not at delivery (Kompics port-queue semantics), so
@@ -67,20 +68,20 @@ def trigger(event: Event, face: "PortFace") -> None:
     stamp = _race_stamp
     if stamp is not None:
         stamp(event)
-    # Fast path: a ``face._fast`` hit means this exact event class already
-    # passed the port-type check for this face's trigger direction and has
-    # a compiled plan for the current topology generation — one class-keyed
-    # dict probe replaces the allowed() lookup and the plan-table lookup.
+    # Fast path: a hit on the bare class in the face's plan table means
+    # this exact event class already passed the port-type check for this
+    # face's trigger direction and has a compiled plan that no
+    # reconfiguration has invalidated since — one class-keyed dict probe
+    # replaces the allowed() lookup and the ``(class, direction)`` lookup,
+    # with no lock and no counter to compare.
     # The verdict of allowed() is static per (port type, direction, class),
     # so skipping it on a hit cannot change which triggers raise.
-    fast = face._fast
-    if fast is not None:
-        plan = fast[1].get(event.__class__)
+    table = face._plans
+    if table is not None:
+        plan = table.get(event.__class__)
         if plan is not None:
-            system = face.port.owner.system
-            if system is not None and fast[0] == system._generation:
-                plan.execute(event)
-                return
+            plan.execute(event)
+            return
     _trigger_slow(event, face)
 
 
@@ -96,10 +97,9 @@ def _trigger_slow(event: Event, face: "PortFace") -> None:
             f"{direction.value} direction of {port.port_type.__name__} "
             f"(at {face!r})"
         )
-    plan = routing.plan_for(face, type(event), direction)
-    fast = face._fast
-    if fast is None or fast[0] != plan.generation:
-        fast = (plan.generation, {})
-        face._fast = fast
-    fast[1][type(event)] = plan
+    # Compile and publish in one critical section of the plan lock, so an
+    # invalidation cannot fall between them and leave a stale entry behind.
+    with port.owner.system._plan_lock:
+        plan = routing.plan_locked(face, type(event), direction)
+        face._plans[type(event)] = plan
     plan.execute(event)

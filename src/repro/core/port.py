@@ -139,7 +139,7 @@ class PortFace:
         "subscriptions",
         "channels",
         "_plans",
-        "_fast",
+        "_readers",
         "_handlers",
         "incoming",
         "trigger_direction",
@@ -158,14 +158,17 @@ class PortFace:
         #: tuple serves identically.
         self.subscriptions: "list[Subscription] | tuple" = ()
         self.channels: "list[Channel] | tuple" = ()
-        #: Compiled-dispatch cache: ``(generation, {(event_type, direction):
-        #: DeliveryPlan})`` or None; managed by :mod:`repro.core.routing`.
-        self._plans: tuple[int, dict] | None = None
-        #: Trigger fast-path cache: ``(generation, {event_class:
-        #: DeliveryPlan})`` or None.  Populated by :func:`dispatch.trigger`
-        #: after the port-type check passes, so a hit implies both "allowed"
-        #: and "plan compiled" for the face's trigger direction.
-        self._fast: tuple[int, dict] | None = None
+        #: Compiled-dispatch cache: ``{(event_type, direction):
+        #: DeliveryPlan}`` or None; managed by :mod:`repro.core.routing`,
+        #: which drops it whole when a face one of its plans read changes.
+        #: :func:`dispatch.trigger` files a plan under the bare event class
+        #: as well once the port-type check has passed, so a hit on that key
+        #: implies "allowed" and "plan compiled" for the trigger direction.
+        self._plans: dict | None = None
+        #: Root faces of other ports whose cached plans read this face's
+        #: subscriptions and channels: None, one face, or a list of them
+        #: (see :func:`routing.invalidate`).
+        self._readers: "PortFace | list[PortFace] | None" = None
         #: Direction of events delivered to subscriptions at this face —
         #: fixed by the face geometry, precomputed for the dispatch hot path:
         #:

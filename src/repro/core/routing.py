@@ -1,4 +1,4 @@
-"""Compiled dispatch plans: generation-invalidated routing tables.
+"""Compiled dispatch plans: routing tables invalidated per face.
 
 :mod:`repro.core.dispatch` states event dissemination as a recursive rule
 over port faces and channels (paper section 2.3).  Applied per event, that
@@ -8,9 +8,9 @@ same component boundaries, re-scan the same subscription lists with
 optimization.  The topology only changes when a reconfiguration command
 runs, so all of that work is loop-invariant between topology changes.
 
-This module applies the rule once per *topology generation*.  For a
-``(face, event type, direction)`` key it flattens the recursive
-arrive/deliver/forward traversal into an immutable :class:`DeliveryPlan`:
+This module applies the rule once per route.  For a ``(face, event type,
+direction)`` key it flattens the recursive arrive/deliver/forward
+traversal into an immutable :class:`DeliveryPlan`:
 
 - an ordered sequence of **delivery steps** ``(owner, face)`` — the
   ``ComponentCore.receive_event`` calls of the traversal, in its
@@ -24,22 +24,31 @@ arrive/deliver/forward traversal into an immutable :class:`DeliveryPlan`:
   channel lock or, when the selector passes on a live channel, continues
   through the *destination face's own compiled plan*.
 
-Plans are cached on the face they start from, keyed on the owning system's
-``generation`` counter.  Every operation that changes routing bumps that
-counter (subscribe/unsubscribe, connect/disconnect, hold/resume,
-plug/unplug, component create/destroy), so a single integer comparison
-validates the cache: stale tables are dropped wholesale, never scanned
-entry by entry.
+Plans are cached on the face they start from (their *root*) and stay valid
+until something they read changes.  A walk reads mutable state — the
+subscriptions, the channel list and the state of those channels — only at
+faces it reaches travelling in the face's ``incoming`` direction; elsewhere
+it just crosses the boundary.  At each such face, pruned "leads nowhere"
+branches included, the compile records the root as a *reader*
+(``PortFace._readers``).  Every operation that changes routing (subscribe/
+unsubscribe, connect/disconnect, hold/resume, plug/unplug, destroy) calls
+:func:`invalidate` on the face or the two channel ends it changed, which
+drops the tables of that face's port and of its readers — and nobody
+else's, so a reconfiguration costs what it touches (paper section 2.6: a
+subtree comes and goes while the rest of the system keeps running).
 
 The §2.3 pruning optimization falls out of compilation for free: a channel
 hop whose destination subtree contains no compatible subscription (and no
 held/unplugged queue-stop) contributes no steps, so the compiled plan for a
 "leads nowhere" trigger is empty and executing it is a no-op.
 
-Concurrency note: plan execution is lock-free on the inlined path.  A
-reconfiguration racing with an in-flight trigger from another thread may be
-observed by that one event as either before or after the command.  The
-generation check happens once per trigger, at plan lookup.
+Concurrency note: a cache hit takes no lock and reads no counter, so a
+reconfiguration racing with an in-flight trigger from another thread may
+be observed by that one event as either before or after the command.
+Misses and invalidations serialize on ``ComponentSystem._plan_lock``:
+compile-and-publish is one critical section and every mutation site
+mutates first and invalidates after, so a plan compiled from pre-mutation
+state is always published before that invalidation runs, and dropped by it.
 """
 
 from __future__ import annotations
@@ -68,18 +77,16 @@ class DeliveryPlan:
     ``(owner, face)`` pairs so execution is a single tag-free loop.
     """
 
-    __slots__ = ("event_type", "direction", "generation", "steps", "deliveries")
+    __slots__ = ("event_type", "direction", "steps", "deliveries")
 
     def __init__(
         self,
         event_type: type[Event],
         direction: Direction,
-        generation: int,
         steps: tuple[tuple[int, object, object], ...],
     ) -> None:
         self.event_type = event_type
         self.direction = direction
-        self.generation = generation
         if any(tag == LIVE for tag, _, _ in steps):
             self.steps = steps
             self.deliveries: tuple | None = None
@@ -127,7 +134,7 @@ class DeliveryPlan:
             live = len(self.steps) - deliver
         return (
             f"<DeliveryPlan {self.event_type.__name__}/{self.direction.value} "
-            f"gen={self.generation} deliver={deliver} live={live}>"
+            f"deliver={deliver} live={live}>"
         )
 
 
@@ -135,7 +142,7 @@ def compile_plan(
     face: "PortFace",
     event_type: type[Event],
     direction: Direction,
-    generation: int | None = None,
+    root: "PortFace | None" = None,
 ) -> DeliveryPlan:
     """Flatten the arrive/deliver/forward walk from ``face`` into a plan.
 
@@ -143,14 +150,12 @@ def compile_plan(
     step, inlining across boundary crossings and live, selector-free, fully
     plugged channels.  Diamond topologies (two paths converging on one
     face) deliver once per path — only a true cycle, on which the rules
-    never terminate, is cut.
+    never terminate, is cut.  Nothing is cached here; :func:`plan_for` does
+    that, passing the face as ``root`` to have it recorded as a reader.
     """
-    if generation is None:
-        system = face.port.owner.system
-        generation = system.generation if system is not None else 0
     steps: list[tuple[int, object, object]] = []
-    _flatten(face, event_type, direction, steps, set())
-    return DeliveryPlan(event_type, direction, generation, tuple(steps))
+    _flatten(face, event_type, direction, steps, set(), root)
+    return DeliveryPlan(event_type, direction, tuple(steps))
 
 
 def _flatten(
@@ -159,13 +164,27 @@ def _flatten(
     direction: Direction,
     steps: list,
     path: set[int],
+    root: "PortFace | None",
 ) -> None:
     key = id(face)
     if key in path:
         return  # cycle guard; the rules never terminate here
     path.add(key)
     try:
-        if direction is face.incoming and face.subscriptions:
+        if direction is not face.incoming:
+            # Flowing away from this face's subscribers: cross the boundary
+            # (outside face inward, inside face outward).  Nothing mutable
+            # is read here, so the face gains no reader.
+            port = face.port
+            across = port.outside if face.is_inside else port.inside
+            _flatten(across, event_type, direction, steps, path, root)
+            return
+        # Deliver here, then forward along the attached channels (sibling
+        # channels outside, delegation channels inside).  The plan depends
+        # on both lists and the channels' state, even if this leads nowhere.
+        if root is not None and face.port is not root.port:
+            _record_reader(face, root)
+        if face.subscriptions:
             # One delivery per subscribed owner, however many of its
             # handlers match (dict preserves subscription order).
             owners: dict = {}
@@ -174,21 +193,7 @@ def _flatten(
                     owners.setdefault(subscription.owner)
             for owner in owners:
                 steps.append((DELIVER, owner, face))
-
-        port = face.port
-        inward = direction is port.boundary_inward
-        if not face.is_inside:
-            if inward:
-                _flatten(port.inside, event_type, direction, steps, path)
-                return
-            channels = tuple(face.channels)
-        elif inward:
-            channels = tuple(face.channels)
-        else:
-            _flatten(port.outside, event_type, direction, steps, path)
-            return
-
-        for channel in channels:
+        for channel in tuple(face.channels):
             if channel.destroyed:
                 continue
             destination = channel.other_end(face)
@@ -197,53 +202,107 @@ def _flatten(
                 # event value; held/unplugged channels are queue-stops.
                 steps.append((LIVE, channel, face))
                 continue
-            _flatten(destination, event_type, direction, steps, path)
+            _flatten(destination, event_type, direction, steps, path, root)
     finally:
         path.discard(key)
+
+
+def _record_reader(face: "PortFace", root: "PortFace") -> None:
+    """Note that a plan cached on ``root`` read ``face`` (plan lock held).
+
+    The record is a bare face, or a list once a second root reads here.
+    Invalidation consumes it, and an entry whose root has lost its table
+    since (invalidated through another face, or destroyed) is dropped
+    before the record grows, so it never outgrows the most roots that read
+    the face at one time — churn cannot leak it.
+    """
+    readers = face._readers
+    if readers is None or readers is root:
+        face._readers = root
+    elif type(readers) is not list:
+        face._readers = [readers, root] if readers._plans is not None else root
+    elif root not in readers:
+        readers[:] = [reader for reader in readers if reader._plans is not None]
+        readers.append(root)
+
+
+def _drop(face: "PortFace") -> int:
+    """Forget the table cached on ``face``; returns how many plans went."""
+    table = face._plans
+    face._plans = None
+    return sum(type(key) is tuple for key in table) if table is not None else 0
+
+
+def invalidate(*faces: "PortFace | None") -> None:
+    """Drop every cached plan that read one of ``faces``, after a change there.
+
+    Callers mutate first and invalidate after (see the concurrency note in
+    the module docstring).  Each face's reader record is consumed: the
+    readers re-register when they next compile.  ``None`` stands for an
+    unplugged channel end and is skipped.
+    """
+    faces = [face for face in faces if face is not None]
+    if not faces:
+        return
+    system = faces[0].port.owner.system
+    with system._plan_lock:
+        dropped = 0
+        for face in faces:
+            port = face.port
+            dropped += _drop(port.inside) + _drop(port.outside)
+            readers = face._readers
+            if readers is not None:
+                face._readers = None
+                for reader in readers if type(readers) is list else (readers,):
+                    dropped += _drop(reader)
+        system.plans_invalidated += dropped
+
+
+def plan_locked(
+    face: "PortFace", event_type: type[Event], direction: Direction
+) -> DeliveryPlan:
+    """:func:`plan_for` for a caller that holds the system's plan lock."""
+    table = face._plans
+    if table is None:
+        # Before the walk: a root with a table counts as a live reader.
+        face._plans = table = {}
+    key = (event_type, direction)
+    plan = table.get(key)
+    if plan is None:
+        table[key] = plan = compile_plan(face, event_type, direction, face)
+        face.port.owner.system.plans_compiled += 1
+    return plan
 
 
 def plan_for(face: "PortFace", event_type: type[Event], direction: Direction) -> DeliveryPlan:
     """The cached plan for ``(face, event_type, direction)``, compiling on miss.
 
-    The per-face cache is a ``(generation, {key: plan})`` pair.  On a
-    generation mismatch the whole table is replaced, so stale entries for
-    event types that are never triggered again cannot accumulate.
+    The per-face cache is a ``{(event type, direction): plan}`` dict that
+    lives until :func:`invalidate` drops it whole, so it holds at most one
+    plan per event type routed from the face since the last change to
+    anything those routes read.
     """
-    system = face.port.owner.system
-    generation = system.generation if system is not None else 0
-    cache = face._plans
-    if cache is None or cache[0] != generation:
-        cache = (generation, {})
-        face._plans = cache
-    table = cache[1]
-    key = (event_type, direction)
-    plan = table.get(key)
-    if plan is None:
-        plan = compile_plan(face, event_type, direction, generation)
-        table[key] = plan
-    return plan
+    with face.port.owner.system._plan_lock:
+        return plan_locked(face, event_type, direction)
 
 
 def execute(face: "PortFace", event: Event, direction: Direction) -> None:
     """Route one event from ``face`` through its compiled plan.
 
-    Inlines :func:`plan_for`'s cache hit (one call frame fewer on every
-    routed event); misses fall through to the shared compile path.
+    Inlines :func:`plan_for`'s cache hit (no lock, one call frame fewer on
+    every routed event); misses fall through to the shared compile path.
     """
-    cache = face._plans
-    if cache is not None:
-        plan = cache[1].get((type(event), direction))
+    table = face._plans
+    if table is not None:
+        plan = table.get((type(event), direction))
         if plan is not None:
-            system = face.port.owner.system
-            generation = system.generation if system is not None else 0
-            if cache[0] == generation:
-                plan.execute(event)
-                return
+            plan.execute(event)
+            return
     plan_for(face, type(event), direction).execute(event)
 
 
 def cached_plans(face: "PortFace") -> Iterator[DeliveryPlan]:
     """Iterate the plans currently cached on ``face`` (introspection)."""
-    cache = face._plans
-    if cache is not None:
-        yield from cache[1].values()
+    table = face._plans
+    if table is not None:  # trigger's bare-class keys alias these entries
+        yield from [plan for key, plan in tuple(table.items()) if type(key) is tuple]

@@ -3,7 +3,10 @@
 A :class:`ComponentSystem` owns the scheduler, the clock, the seeded random
 source, and the root of the containment hierarchy.  ``bootstrap(Main)``
 mirrors the paper's ``Kompics.bootstrap(Main.class)``: it instantiates the
-root component and activates it.
+root component and activates it.  For :mod:`repro.core.routing` it holds
+the lock that serializes plan compilation with invalidation (a cache hit in
+``trigger`` takes none) and the ``plans_compiled`` / ``plans_invalidated``
+counters.
 
 Fault policy (paper section 2.5): a Fault that escalates past the root runs
 the *system fault handler*.  The default policy (``"halt"``) dumps the
@@ -14,7 +17,6 @@ exception to stderr and halts the system, exactly as the paper describes;
 
 from __future__ import annotations
 
-import itertools
 import random as random_module
 import sys
 import threading
@@ -64,8 +66,15 @@ class ComponentSystem:
         #: optional execution tracer (see repro.runtime.trace.Tracer).
         self.tracer = None
         self._component_sequence = 0
-        self._generation = 0
-        self._generation_counter = itertools.count(1)
+        #: Serializes compile-and-publish with invalidation in
+        #: :mod:`repro.core.routing`; taken only on ``trigger``'s miss path
+        #: and by reconfiguration commands, and nothing is acquired under it.
+        self._plan_lock = threading.Lock()
+        #: Dispatch plans compiled, and cached plans dropped because a face
+        #: they read changed (written under ``_plan_lock``): a reconfiguration
+        #: moves them by what it touches, not by the size of the system.
+        self.plans_compiled = 0
+        self.plans_invalidated = 0
         self._active = 0
         self._quiet = threading.Condition()
         #: With the ManualScheduler every ready/idle transition happens on
@@ -168,27 +177,9 @@ class ComponentSystem:
 
     def register_component(self, component: ComponentCore) -> None:
         self.components.add(component)
-        self.bump_generation()
 
     def unregister_component(self, component: ComponentCore) -> None:
         self.components.discard(component)
-
-    def bump_generation(self) -> None:
-        """Start a new topology generation (epoch) after a routing change.
-
-        Compiled dispatch plans are keyed on the generation, so bumping it
-        invalidates every cached route in one integer write.  Callers:
-        subscribe/unsubscribe, connect/disconnect, hold/resume, plug/unplug,
-        component create/destroy.  The counter is drawn from
-        :func:`itertools.count` so concurrent bumps from racing
-        reconfigurations each observe a strictly fresh generation.
-        """
-        self._generation = next(self._generation_counter)
-
-    @property
-    def generation(self) -> int:
-        """The current topology generation (monotonically increasing)."""
-        return self._generation
 
     # ------------------------------------------------------------------ fault
 

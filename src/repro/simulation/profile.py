@@ -48,6 +48,8 @@ class SimulationProfiler:
         self._wall_start = perf_counter()
         self._wall = 0.0
         self._events_start = simulation.events_dispatched
+        system = simulation.system
+        self._plans_start = (system.plans_compiled, system.plans_invalidated)
         self._installed = True
         _component_mod._race_observer = self
 
@@ -116,10 +118,14 @@ class SimulationProfiler:
         wall = self.wall_seconds
         handlers = self.handler_seconds
         events = self.simulation.events_dispatched - self._events_start
+        system = self.simulation.system
+        compiled = system.plans_compiled - self._plans_start[0]
+        invalidated = system.plans_invalidated - self._plans_start[1]
         lines = [
             f"simulation profile: {wall:.3f}s wall, "
             f"{handlers:.3f}s in handlers ({_share(handlers, wall)}), "
             f"{events} timed events",
+            f"dispatch plans: {compiled} compiled, {invalidated} invalidated",
             "",
             f"  {'component definition':<32} {'seconds':>9} {'share':>7} {'execs':>9}",
         ]

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from repro import ComponentDefinition, Direction, Start
-from repro.core import routing
+from repro.core import dispatch, routing
 from repro.simulation import Simulation
 
+from tests.reference.walker import faces_of
 from tests.kit import (
     Collector,
     EchoServer,
@@ -76,7 +77,8 @@ def test_plan_flattens_request_path_to_single_delivery():
         (server_core, server_core.port(PingPort, True).inside)
     ]
     assert plan.live_channels() == []
-    assert plan.generation == system.generation
+    # The face the plan delivers at records the plan's root as its reader.
+    assert server_core.port(PingPort, True).inside._readers is client_face
 
 
 def test_plan_flattens_deep_delegation_chain():
@@ -134,7 +136,7 @@ def test_plan_preserves_subtype_matching():
 # ------------------------------------------------------------------- caching
 
 
-def test_plan_cache_hits_within_a_generation():
+def test_plan_cache_hits_until_invalidated():
     system = make_system()
     built = echo_pair(system)
     face = built["client"].definition.port
@@ -145,21 +147,38 @@ def test_plan_cache_hits_within_a_generation():
 
 def test_every_reconfiguration_command_invalidates_plans():
     system = make_system()
-    built = echo_pair(system)
+
+    def wire(scaffold, built):
+        for prefix in ("", "other_"):
+            built[prefix + "server"] = scaffold.create(EchoServer)
+            built[prefix + "client"] = scaffold.create(Collector, count=0)
+            built[prefix + "channel"] = scaffold.connect(
+                built[prefix + "server"].provided(PingPort),
+                built[prefix + "client"].required(PingPort),
+            )
+
+    built = build(system, wire)
     root = built["root"]
     client = built["client"].definition
     channel = built["channel"]
     face = client.port
+    other_face = built["other_client"].definition.port
+    unrelated = routing.plan_for(other_face, Ping, Direction.NEGATIVE)
 
     def fresh_plan_after(op):
         before = routing.plan_for(face, Ping, Direction.NEGATIVE)
         op()
         after = routing.plan_for(face, Ping, Direction.NEGATIVE)
         assert after is not before, f"{op.__name__} did not invalidate plans"
+        # ... and the route through the other pair is not even recompiled.
+        assert routing.plan_for(other_face, Ping, Direction.NEGATIVE) is unrelated
         return after
 
     fresh_plan_after(lambda: client.subscribe(client.on_pong, client.port))
     fresh_plan_after(lambda: client.unsubscribe(client.on_pong, client.port))
+    server = built["server"].definition
+    fresh_plan_after(lambda: server.subscribe(server.on_ping, server.port))
+    fresh_plan_after(lambda: server.unsubscribe(server.on_ping, server.port))
     held = fresh_plan_after(channel.hold)
     assert held.live_channels() == [channel]
     resumed = fresh_plan_after(channel.resume)
@@ -169,13 +188,21 @@ def test_every_reconfiguration_command_invalidates_plans():
     )
     assert unplugged.live_channels() == [channel]
     fresh_plan_after(lambda: channel.plug(built["server"].provided(PingPort)))
-    fresh_plan_after(lambda: root.create(DeafClient))
     fresh_plan_after(
         lambda: root.disconnect(
             built["server"].provided(PingPort), client.core.port(PingPort, False).outside
         )
     )
+    fresh_plan_after(
+        lambda: root.connect(
+            built["server"].provided(PingPort), client.core.port(PingPort, False).outside
+        )
+    )
     fresh_plan_after(lambda: built["server"].core.destroy())
+    # Creating a component connects nothing, so it invalidates nothing.
+    before = routing.plan_for(face, Ping, Direction.NEGATIVE)
+    root.create(DeafClient)
+    assert routing.plan_for(face, Ping, Direction.NEGATIVE) is before
 
 
 # -------------------------------------------------- queue-stop reconfiguration
@@ -257,7 +284,7 @@ def test_selector_channels_stay_live_steps():
 # ------------------------------------------------------------- cache hygiene
 
 
-def test_face_plan_tables_reset_on_generation_change():
+def test_face_plan_tables_reset_when_a_face_they_read_changes():
     system = make_system()
     built = echo_pair(system)
     face = built["client"].definition.port
@@ -265,9 +292,69 @@ def test_face_plan_tables_reset_on_generation_change():
     for subtype in subtypes:
         routing.plan_for(face, subtype, Direction.NEGATIVE)
     assert len(list(routing.cached_plans(face))) == 16
-    system.bump_generation()
+    # The whole table goes, not just the entries of the type subscribed:
+    # entries for event types that never recur cannot accumulate.
+    server = built["server"].definition
+    server.subscribe(server.on_ping, server.port)
     routing.plan_for(face, Ping, Direction.NEGATIVE)
     assert len(list(routing.cached_plans(face))) == 1
+
+
+def test_trigger_at_a_destroyed_components_face_reaches_nobody():
+    """A handler still on the stack or a timer callback may trigger at a
+    component after its destruction; its routes went with it."""
+    system = make_system()
+
+    def wire(scaffold, built):
+        built["wrap"] = scaffold.create(Wrapper, depth=1)
+        built["client"] = scaffold.create(Collector, count=1)
+        built["channel"] = scaffold.connect(
+            built["wrap"].provided(PingPort), built["client"].required(PingPort)
+        )
+
+    built = build(system, wire)
+    wrap, client = built["wrap"], built["client"].definition
+    assert [pong.n for pong in client.pongs] == [0]  # both directions compiled
+    inner = wrap.definition.inner
+    doomed = [wrap.core, inner.core, inner.definition.inner.core]
+    faces = [face for core in doomed for face in faces_of(core)]
+    built["root"].destroy(wrap)
+    assert all(face._plans is None and face._readers is None for face in faces)
+    for face in faces:
+        kind = face.port.port_type
+        events = (Ping(1), Pong(1)) if kind is PingPort else (Start(),)
+        for event in events:
+            if kind.allowed(face.trigger_direction, type(event)):
+                dispatch.trigger(event, face)
+    settle(system)
+    assert [pong.n for pong in client.pongs] == [0]
+    assert built["channel"].queued == 0
+    assert all(core.pending_events == 0 for core in doomed)
+
+
+def test_reader_records_stay_bounded_under_client_churn():
+    """1,000 clients come and go at one long-lived provider: what the
+    provider's faces remember about them must not grow with the count."""
+    system = make_system()
+    built = build(system, lambda scaffold, built: built.update(
+        server=scaffold.create(EchoServer)))
+    root, server = built["root"], built["server"]
+    root.start_child(server)
+    port = server.core.port(PingPort, True)
+    high_water = 0
+    for n in range(1000):
+        client = root.create(Collector, count=1)
+        root.connect(server.provided(PingPort), client.required(PingPort))
+        root.start_child(client)
+        settle(system)
+        assert [pong.n for pong in client.definition.pongs] == [0]
+        root.destroy(client)
+        for face in (port.inside, port.outside):
+            readers = face._readers
+            recorded = len(readers) if type(readers) is list else readers is not None
+            high_water = max(high_water, recorded, len(list(routing.cached_plans(face))))
+    assert high_water <= 2
+    assert len(server.definition.pings) == 1000
 
 
 # --------------------------------------------------------------- integration

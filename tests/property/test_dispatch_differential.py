@@ -8,15 +8,23 @@ the side-effect-free recursive walk of ``tests/reference/walker.py``, which
 re-derives every route from the live topology.  Three comparisons:
 
 - after **every op** that touches the topology, for every face the ops can
-  trigger on and both selector outcomes, the cached plan — expanded
+  trigger on and for **every plan cached on every face of every live
+  component**, with both selector outcomes, the cached plan — expanded
   through its live steps the way ``Channel.forward`` continues them —
   lists the walker's deliveries and queue-stops, in the walker's order (a
-  plan that survived a topology change it should not have shows up here);
+  plan that survived a topology change it should not have shows up here,
+  also on a face nobody happens to trigger on again);
 - every **trigger**, the harness's and every handler's, makes exactly the
   ``ComponentCore.receive_event`` calls the walker lists, in order, and
   queues the event on exactly the channels the walker stops at;
 - every **resume** flushes its queue into exactly the deliveries the walker
   lists for the queued events.
+
+Plans are invalidated per face, so the converse is checked too: in a
+forest of disjoint groups, ops confined to one group leave every cached
+plan object of the other groups untouched (``is``), and a provider shared
+by a fan-out of clients behind a three-deep delegation chain is rewired
+under the same three comparisons.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from repro.core import dispatch, routing
 from repro.core.component import ComponentCore
 
 from tests.kit import Collector, EchoServer, FancyPing, Ping, PingPort, Pong, Scaffold
-from tests.reference.walker import walk
+from tests.reference.walker import check_cached_plans, faces_of, replay_plan, walk
 
 CASES = 500
 OPS_PER_CASE = 28
@@ -68,28 +76,6 @@ REQUIRER_KINDS = ("sink", "deaf")
 
 def even_selector(event) -> bool:
     return getattr(event, "n", 0) % 2 == 0
-
-
-def replay_plan(face, event, direction):
-    """What executing the cached plan for ``event`` at ``face`` does, in
-    the walker's vocabulary."""
-    plan = routing.plan_for(face, type(event), direction)
-    if plan.deliveries is not None:
-        for receive, target in plan.deliveries:
-            yield ("deliver", receive.__self__, target)
-        return
-    for tag, a, b in plan.steps:
-        if tag == routing.DELIVER:
-            yield ("deliver", a, b)
-            continue
-        channel, source = a, b  # live step: Channel.forward at event time
-        if channel.destroyed or (channel.selector is not None and not channel.selector(event)):
-            continue
-        destination = channel.other_end(source)
-        if channel.held or destination is None:
-            yield ("queue", channel)
-        else:
-            yield from replay_plan(destination, event, direction)
 
 
 class Recorder:
@@ -161,12 +147,17 @@ class World:
         self.root: Scaffold = built["root"]
         self.components: list[tuple[object, str]] = []  # (facade, kind)
         self.channels: list[object] = recorder.channels
+        #: Forest cases: the group new components and channels join, and
+        #: the only group the picks of an op can land in.
+        self.group = 0
+        self.groups: dict[object, int] = {}  # core or channel -> its group
 
     def alive(self, kind_filter=None):
         return [
             (i, facade, kind)
             for i, (facade, kind) in enumerate(self.components)
             if facade.core.state.value != "destroyed"
+            and self.groups[facade.core] == self.group
             and (kind_filter is None or kind in kind_filter)
         ]
 
@@ -174,6 +165,7 @@ class World:
         cls, args = KINDS[kind]
         facade = self.root.create(cls, *args)
         self.components.append((facade, kind))
+        self.groups[facade.core] = self.group
         self.root.start_child(facade)
 
     def op_connect(self, provider_pick: int, requirer_pick: int, with_selector: bool) -> None:
@@ -189,9 +181,12 @@ class World:
             selector=even_selector if with_selector else None,
         )
         self.channels.append(channel)
+        self.groups[channel] = self.group
 
     def pick_channel(self, pick: int):
-        live = [c for c in self.channels if not c.destroyed]
+        live = [
+            c for c in self.channels if not c.destroyed and self.groups[c] == self.group
+        ]
         if not live:
             return None
         return live[pick % len(live)]
@@ -292,12 +287,31 @@ class World:
                 assert list(replay_plan(face, event, direction)) == list(
                     walk(face, event, direction)
                 ), (kind, event)
+        # ... and every plan anybody left cached anywhere: nested cores,
+        # control ports, faces only ever reached through a channel.
+        check_cached_plans(self.system)
+
+    def cached_plans(self, group: int):
+        """``(face, plan)`` for every plan cached under ``group``'s components."""
+        for core in self.system.components:
+            if self.group_of(core) == group:
+                for face in faces_of(core):
+                    for plan in routing.cached_plans(face):
+                        yield face, plan
+
+    def group_of(self, core):
+        while core not in self.groups and core.parent is not None:
+            core = core.parent  # nested in a wrapper: its top-level ancestor's
+        return self.groups.get(core)  # None: the root scaffold
 
 
-def make_ops(seed: int):
+def make_ops(seed: int, prologue=None):
     rng = random.Random(seed)
-    ops = [("create", rng.choice(PROVIDER_KINDS)), ("create", rng.choice(REQUIRER_KINDS))]
-    ops.append(("connect", rng.randrange(8), rng.randrange(8), False))
+    if prologue is not None:
+        ops = list(prologue)
+    else:
+        ops = [("create", rng.choice(PROVIDER_KINDS)), ("create", rng.choice(REQUIRER_KINDS))]
+        ops.append(("connect", rng.randrange(8), rng.randrange(8), False))
     weights = [
         ("create", 3),
         ("connect", 4),
@@ -335,14 +349,69 @@ def make_ops(seed: int):
     return ops
 
 
-def run_case(seed: int) -> int:
+def run_ops(world: World, ops, after_op=lambda: None) -> None:
+    for op in ops:
+        getattr(world, f"op_{op[0]}")(*op[1:])
+        if op[0] not in ("trigger", "settle"):  # those leave the topology alone
+            world.check_plans()
+        after_op()
+
+
+def run_case(seed: int, prologue=None) -> int:
     recorder = Recorder()
     with recorder.installed():
         world = World(recorder)
-        for op in make_ops(seed):
-            getattr(world, f"op_{op[0]}")(*op[1:])
-            if op[0] not in ("trigger", "settle"):  # those leave the topology alone
-                world.check_plans()
+        run_ops(world, make_ops(seed, prologue))
+    world.system.scheduler.shutdown(wait=False)
+    return len(recorder.delivered)
+
+
+#: One provider three delegations deep, five clients fanned out from it
+#: (one behind a selector, one deaf), everybody triggered once.
+FANOUT_PROLOGUE = (
+    ("create", "wrap3"),
+    *(("create", kind) for kind in ("sink", "sink", "deaf", "sink", "sink")),
+    *(("connect", 0, n, n == 1) for n in range(5)),
+    *(("trigger", n, 1, n) for n in range(6)),
+    ("settle",),
+)
+
+
+def run_forest_case(seed: int) -> int:
+    """Disjoint groups; the seeded ops stay inside one, and every plan
+    object cached in the others must come through untouched."""
+    rng = random.Random(-seed)
+    recorder = Recorder()
+    with recorder.installed():
+        world = World(recorder)
+        groups = range(3 + seed % 2)
+        for world.group in groups:
+            run_ops(
+                world,
+                [
+                    ("create", rng.choice(PROVIDER_KINDS)),
+                    ("create", "sink"),
+                    ("create", rng.choice(REQUIRER_KINDS)),
+                    ("connect", 0, 0, False),
+                    ("connect", 0, 1, rng.random() < 0.3),
+                    *(("trigger", n, 1, n) for n in range(3)),
+                    ("settle",),
+                ],
+            )
+        world.group = rng.choice(groups)
+        bystanders = [
+            (face, plan)
+            for group in groups
+            if group != world.group
+            for face, plan in world.cached_plans(group)
+        ]
+        assert len(bystanders) >= 2 * (len(groups) - 1)
+
+        def bystanders_untouched():
+            for face, plan in bystanders:
+                assert face._plans[plan.event_type, plan.direction] is plan, (face, plan)
+
+        run_ops(world, make_ops(seed, prologue=()), bystanders_untouched)
     world.system.scheduler.shutdown(wait=False)
     return len(recorder.delivered)
 
@@ -359,3 +428,13 @@ def test_differential_randomized_topologies_with_reconfiguration():
     # Sanity: the harness must actually exercise dissemination, not settle
     # on degenerate empty topologies.
     assert total > 10 * CASES
+
+
+def test_differential_shared_provider_fanout_behind_delegation_chain():
+    total = sum(run_case(seed, FANOUT_PROLOGUE) for seed in range(1, 61))
+    assert total > 10 * 60
+
+
+def test_differential_forest_ops_leave_other_groups_plans_alone():
+    total = sum(run_forest_case(seed) for seed in range(1, 61))
+    assert total > 10 * 60

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ComponentDefinition, ComponentSystem, Init, ManualScheduler, handles
+from repro import (
+    ComponentDefinition,
+    ComponentSystem,
+    Direction,
+    Init,
+    ManualScheduler,
+    handles,
+)
+from repro.core import routing
 from repro.core.errors import ConfigurationError
 
-from tests.kit import Collector, EchoServer, PingPort, Scaffold, make_system, settle
+from tests.kit import Collector, EchoServer, Ping, PingPort, Scaffold, make_system, settle
 
 
 def test_invalid_fault_policy_rejected():
@@ -71,24 +79,38 @@ def test_bootstrap_with_init():
     system.shutdown()
 
 
-def test_generation_bumps_on_topology_changes():
+def test_topology_changes_invalidate_only_the_plans_that_read_them():
     system = make_system()
     built = {}
 
     def build(scaffold):
         built["scaffold"] = scaffold
+        for name in ("near", "far"):
+            built[name, "server"] = scaffold.create(EchoServer)
+            built[name, "client"] = scaffold.create(Collector)
+            scaffold.connect(
+                built[name, "server"].provided(PingPort),
+                built[name, "client"].required(PingPort),
+            )
 
     system.bootstrap(Scaffold, build)
-    g0 = system.generation
-    server = built["scaffold"].create(EchoServer)
-    assert system.generation > g0
-    g1 = system.generation
-    client = built["scaffold"].create(Collector)
-    built["scaffold"].connect(server.provided(PingPort), client.required(PingPort))
-    assert system.generation > g1
-    g2 = system.generation
-    built["scaffold"].destroy(server)
-    assert system.generation > g2
+    settle(system)  # every Collector pinged: both pairs' routes are compiled
+
+    def plan(name):
+        face = built[name, "client"].definition.port
+        return routing.plan_for(face, Ping, Direction.NEGATIVE)
+
+    near, far, compiled = plan("near"), plan("far"), system.plans_compiled
+    # Creating an unconnected component invalidates nothing ...
+    built["scaffold"].create(EchoServer)
+    assert (plan("near"), plan("far"), system.plans_compiled) == (near, far, compiled)
+    # ... and destroying one end of a route rebuilds that route only.
+    invalidated = system.plans_invalidated
+    built["scaffold"].destroy(built["near", "server"])
+    assert plan("near") is not near and plan("near").delivery_targets() == []
+    assert plan("far") is far
+    assert system.plans_compiled == compiled + 1
+    assert system.plans_invalidated > invalidated
     system.shutdown()
 
 
