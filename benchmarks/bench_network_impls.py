@@ -3,9 +3,9 @@
 The paper ships interchangeable MINA / Netty / Grizzly network components;
 ours are Loopback (by-reference), Loopback+codec (serialization without
 sockets: isolates the codec cost the paper counts as "4x serialization,
-4x deserialization"), blocking TCP (real sockets + framing + compression)
-and the selector-based aio TCP backend — each socket backend measured
-with both the generic pickle codec and the registered compact codec.
+4x deserialization") and the aio TCP backend (real sockets + framing +
+compression), measured with both the generic pickle codec and the
+registered compact codec.
 The measured quantity is a full request/response round trip between two
 nodes through the Network abstraction.
 """
@@ -26,7 +26,6 @@ from repro.network import (
     LoopbackNetwork,
     Message,
     Network,
-    TcpNetwork,
     local_address,
     register_compact,
 )
@@ -87,20 +86,18 @@ def build_pair(kind: str):
     built = {}
 
     def build(scaffold):
-        if kind.startswith(("tcp", "aio")):
-            backend, _, flavour = kind.partition("+")
-            factory = TcpNetwork if backend == "tcp" else AioTcpNetwork
+        if kind.startswith("aio"):
 
             def codec():
-                if flavour == "compact":
-                    return FrameCodec(CompactCodec(), adaptive=backend == "aio")
+                if kind == "aio+compact":
+                    return FrameCodec(CompactCodec(), adaptive=True)
                 return None  # the backend's default codec
 
             net_a = scaffold.create(
-                factory, Address("127.0.0.1", 0, node_id=1), codec=codec()
+                AioTcpNetwork, Address("127.0.0.1", 0, node_id=1), codec=codec()
             )
             net_b = scaffold.create(
-                factory, Address("127.0.0.1", 0, node_id=2), codec=codec()
+                AioTcpNetwork, Address("127.0.0.1", 0, node_id=2), codec=codec()
             )
             addr_a, addr_b = net_a.definition.address, net_b.definition.address
         else:
@@ -133,8 +130,6 @@ PAYLOAD = b"x" * 1024
 KINDS = [
     "loopback",
     "loopback+codec",
-    "tcp",
-    "tcp+compact",
     "aio",
     "aio+compact",
 ]

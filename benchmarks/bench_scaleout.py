@@ -5,14 +5,16 @@ of a 4-node CATS ring:
 
 * ``plain``   — one process, LoopbackNetwork (``LocalCatsCluster``).
 * ``shard_1`` — the whole ring inside one spawned shard worker, client
-  traffic crossing the process boundary as compact frames.
+  traffic crossing the process boundary as compact frames over aio
+  sockets (every node and the client plane on its own ``AioTcpNetwork``).
 * ``shard_2`` / ``shard_4`` — the ring round-robined across 2/4 workers,
-  so ring stabilization and ABD quorum rounds cross the cut too.
+  which dial each other directly, so ring stabilization and ABD quorum
+  rounds cross the cut too.
 
 Each client performs a fixed CPU "crunch" before every operation — the
 application-side work a real middleware request carries (deserialize,
 validate, compute, render).  Without it the benchmark degenerates into
-a race of empty no-op round-trips, where the pipe crossing *is* the
+a race of empty no-op round-trips, where the process crossing *is* the
 entire cost and no deployment choice could ever pass; with it, the
 gate measures the harness tax as a fraction of a realistic request.
 
@@ -43,7 +45,7 @@ from repro.cats.sharding import CatsShardCoordinator
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_scaleout.json")
 
 NODE_IDS = [100, 20_000, 40_000, 60_000]
-WINDOW = 8  # concurrent closed-loop clients; amortizes the pipe round-trip
+WINDOW = 8  # concurrent closed-loop clients; amortizes the socket round-trip
 OPS = int(os.environ.get("REPRO_BENCH_SCALEOUT_OPS", "240" if FULL else "48"))
 CRUNCH_ROUNDS = int(os.environ.get("REPRO_BENCH_SCALEOUT_CRUNCH", "100000"))
 SINGLE_SHARD_FLOOR = 0.8

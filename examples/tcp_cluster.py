@@ -6,17 +6,13 @@ that discover each other through it, and a client that talks to the store
 over the network via the remote PutGet API.  Every node runs its own
 network component (the Grizzly/Netty stand-in: framing, pluggable codec,
 compression) — all in one process here, but each node communicates
-exclusively through its own sockets on localhost.
-
-By default the cluster rides the selector-based :class:`AioTcpNetwork`
-(write coalescing, batched frames — docs/internals.md, "Network
-backends"); set ``REPRO_TCP_BACKEND=tcp`` to fall back to the blocking
-thread-per-connection :class:`TcpNetwork`.
+exclusively through its own sockets on localhost.  The network component
+is :class:`AioTcpNetwork` (write coalescing, batched frames —
+docs/internals.md, "Network backend"), as ``python -m repro.cats`` uses.
 
 Run:  python examples/tcp_cluster.py
 """
 
-import os
 import time
 
 from repro import ComponentDefinition, ComponentSystem, WorkStealingScheduler, handles
@@ -32,18 +28,15 @@ from repro.cats import (
     PutResponse,
     RemoteApiServer,
 )
-from repro.network import Address, AioTcpNetwork, Network, TcpNetwork
+from repro.network import Address, AioTcpNetwork, Network
 from repro.protocols.bootstrap import BootstrapServer
 from repro.timer import ThreadTimer, Timer
-
-#: The transport every host in this example instantiates.
-NETWORK = TcpNetwork if os.environ.get("REPRO_TCP_BACKEND") == "tcp" else AioTcpNetwork
 
 
 class BootstrapHost(ComponentDefinition):
     def __init__(self) -> None:
         super().__init__()
-        net = self.create(NETWORK, Address("127.0.0.1", 0, node_id=0))
+        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=0))
         self.address = net.definition.address
         timer = self.create(ThreadTimer)
         server = self.create(BootstrapServer, self.address)
@@ -56,7 +49,7 @@ class CatsTcpHost(ComponentDefinition):
 
     def __init__(self, node_id: int, bootstrap: Address) -> None:
         super().__init__()
-        net = self.create(NETWORK, Address("127.0.0.1", 0, node_id=node_id))
+        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=node_id))
         self.address = net.definition.address
         timer = self.create(ThreadTimer)
         self.node = self.create(
@@ -82,7 +75,7 @@ class ClientHost(ComponentDefinition):
 
     def __init__(self, server: Address) -> None:
         super().__init__()
-        net = self.create(NETWORK, Address("127.0.0.1", 0, node_id=999))
+        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=999))
         self.address = net.definition.address
         self.client = self.create(CatsClient, self.address, server)
         self.connect(net.provided(Network), self.client.required(Network))

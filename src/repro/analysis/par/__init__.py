@@ -6,8 +6,9 @@ discipline — components interact only through ports — is exactly what
 makes a subtree movable, so this pass checks the discipline holds where
 it matters: every single-address-space assumption in handler code is a
 latent shard bug.  The runtime oracle is :mod:`repro.runtime.shard`
-(a multiprocessing harness routing cross-shard triggers over pipes with
-the compact codec), differential-tested in ``tests/runtime/test_shard.py``:
+(a multiprocessing harness whose workers each run ordinary
+``AioTcpNetwork`` components and send cross-shard messages to each other
+as compact frames), differential-tested in ``tests/runtime/test_shard.py``:
 
 - **P001** process-divergent state: handler code reads or writes
   module-level or class-level mutable state.  Each worker process gets

@@ -439,7 +439,7 @@ def check_sync_primitives(program: Program, info: ClassInfo) -> Iterator[Hit]:
                     f"({ctor}): the handler blocks a scheduler worker — a "
                     "lock-shaped stall that can deadlock a shard's worker "
                     "pool (hand the work to a dedicated thread outside the "
-                    "handler, as ThreadTimer/TcpNetwork do)",
+                    "handler, as ThreadTimer/AioTcpNetwork do)",
                     path,
                     sub.lineno,
                     sub.col_offset,

@@ -3,7 +3,7 @@
 Handlers execute on scheduler workers; a handler that sleeps or performs
 synchronous I/O stalls a whole worker (paper section 3: handlers must be
 non-blocking; long-running work belongs in dedicated components that
-bridge to threads, like TcpNetwork and ThreadTimer do outside their
+bridge to threads, like AioTcpNetwork and ThreadTimer do outside their
 handlers).
 """
 

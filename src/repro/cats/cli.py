@@ -1,6 +1,7 @@
 """Command-line deployment of CATS over TCP (paper Fig 10 as a CLI).
 
-Run each role in its own process:
+Every role runs on :class:`~repro.network.aio.AioTcpNetwork`, the one
+socket transport.  Run each role in its own process:
 
     python -m repro.cats bootstrap-server --port 9100
     python -m repro.cats monitor-server --port 9200 --web-port 8080
@@ -27,7 +28,6 @@ from ..core.handler import handles
 from ..network.address import Address
 from ..network.aio import AioTcpNetwork
 from ..network.message import Network
-from ..network.tcp import TcpNetwork
 from ..protocols.bootstrap.server import BootstrapServer
 from ..protocols.monitor.server import MonitorServer
 from ..protocols.web.port import Web
@@ -49,19 +49,13 @@ def parse_address(text: str, node_id: Optional[int] = None) -> Address:
     return Address(host, int(port), node_id)
 
 
-#: Deployment-mode transports: the blocking thread-per-connection backend
-#: and the selector-based coalescing one (docs/internals.md, "Network
-#: backends").  Selected per process with ``--backend``.
-NETWORK_BACKENDS = {"tcp": TcpNetwork, "aio": AioTcpNetwork}
-
-
 # ---------------------------------------------------------------- components
 
 
 class _BootstrapMain(ComponentDefinition):
-    def __init__(self, address: Address, backend: str = "tcp") -> None:
+    def __init__(self, address: Address) -> None:
         super().__init__()
-        net = self.create(NETWORK_BACKENDS[backend], address)
+        net = self.create(AioTcpNetwork, address)
         self.address = net.definition.address
         timer = self.create(ThreadTimer)
         server = self.create(BootstrapServer, self.address)
@@ -70,9 +64,9 @@ class _BootstrapMain(ComponentDefinition):
 
 
 class _MonitorMain(ComponentDefinition):
-    def __init__(self, address: Address, web_port: int, backend: str = "tcp") -> None:
+    def __init__(self, address: Address, web_port: int) -> None:
         super().__init__()
-        net = self.create(NETWORK_BACKENDS[backend], address)
+        net = self.create(AioTcpNetwork, address)
         self.address = net.definition.address
         timer = self.create(ThreadTimer)
         server = self.create(MonitorServer, self.address)
@@ -84,14 +78,10 @@ class _MonitorMain(ComponentDefinition):
 
 class _NodeMain(ComponentDefinition):
     def __init__(
-        self,
-        address: Address,
-        config: CatsConfig,
-        web_port: Optional[int],
-        backend: str = "tcp",
+        self, address: Address, config: CatsConfig, web_port: Optional[int]
     ) -> None:
         super().__init__()
-        net = self.create(NETWORK_BACKENDS[backend], address)
+        net = self.create(AioTcpNetwork, address)
         self.address = net.definition.address.with_id(address.node_id)
         timer = self.create(ThreadTimer)
         self.node = self.create(CatsNode, self.address, config)
@@ -109,11 +99,9 @@ class _NodeMain(ComponentDefinition):
 class _OneShotClient(ComponentDefinition):
     """Issues a single put or get through a remote node and reports back."""
 
-    def __init__(
-        self, server: Address, inbox: "queue.Queue", backend: str = "tcp"
-    ) -> None:
+    def __init__(self, server: Address, inbox: "queue.Queue") -> None:
         super().__init__()
-        net = self.create(NETWORK_BACKENDS[backend], Address("127.0.0.1", 0, node_id=0))
+        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=0))
         self.address = net.definition.address
         self.client = self.create(CatsClient, self.address, server)
         self.connect(net.provided(Network), self.client.required(Network))
@@ -150,16 +138,14 @@ def _serve(system: ComponentSystem, banner: str) -> None:
 
 def run_bootstrap_server(args) -> int:
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=2))
-    root = system.bootstrap(_BootstrapMain, Address(args.host, args.port), args.backend)
+    root = system.bootstrap(_BootstrapMain, Address(args.host, args.port))
     _serve(system, f"bootstrap server on {root.definition.address}")
     return 0
 
 
 def run_monitor_server(args) -> int:
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=2))
-    root = system.bootstrap(
-        _MonitorMain, Address(args.host, args.port), args.web_port, args.backend
-    )
+    root = system.bootstrap(_MonitorMain, Address(args.host, args.port), args.web_port)
     url = root.definition.web.definition.url
     _serve(
         system,
@@ -181,7 +167,6 @@ def run_node(args) -> int:
         Address(args.host, args.port, args.node_id),
         config,
         args.web_port,
-        args.backend,
     )
     main = root.definition
     banner = f"CATS node {main.address}"
@@ -191,10 +176,10 @@ def run_node(args) -> int:
     return 0
 
 
-def _one_shot(server: Address, request, timeout: float, backend: str = "tcp"):
+def _one_shot(server: Address, request, timeout: float):
     inbox: "queue.Queue" = queue.Queue()
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=2))
-    root = system.bootstrap(_OneShotClient, server, inbox, backend)
+    root = system.bootstrap(_OneShotClient, server, inbox)
     root.definition.trigger(request, root.definition.putget)
     try:
         return inbox.get(timeout=timeout)
@@ -207,7 +192,7 @@ def _one_shot(server: Address, request, timeout: float, backend: str = "tcp"):
 def run_put(args) -> int:
     space = KeySpace(bits=args.key_bits)
     request = PutRequest(space.hash_key(args.key), args.value, op_id=new_op_id())
-    response = _one_shot(args.server, request, args.timeout, args.backend)
+    response = _one_shot(args.server, request, args.timeout)
     if response is None or not response.ok:
         print(f"put failed: {getattr(response, 'error', 'timeout')}", file=sys.stderr)
         return 1
@@ -218,7 +203,7 @@ def run_put(args) -> int:
 def run_get(args) -> int:
     space = KeySpace(bits=args.key_bits)
     request = GetRequest(space.hash_key(args.key), op_id=new_op_id())
-    response = _one_shot(args.server, request, args.timeout, args.backend)
+    response = _one_shot(args.server, request, args.timeout)
     if response is None or not response.ok:
         print(f"get failed: {getattr(response, 'error', 'timeout')}", file=sys.stderr)
         return 1
@@ -238,26 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="role", required=True)
 
-    def add_backend(cmd):
-        cmd.add_argument(
-            "--backend",
-            choices=sorted(NETWORK_BACKENDS),
-            default="tcp",
-            help="network transport: blocking thread-per-connection (tcp) "
-            "or non-blocking with write coalescing (aio)",
-        )
-
     boot = sub.add_parser("bootstrap-server", help="run the bootstrap server")
     boot.add_argument("--host", default="127.0.0.1")
     boot.add_argument("--port", type=int, default=9100)
-    add_backend(boot)
     boot.set_defaults(run=run_bootstrap_server)
 
     monitor = sub.add_parser("monitor-server", help="run the monitoring server")
     monitor.add_argument("--host", default="127.0.0.1")
     monitor.add_argument("--port", type=int, default=9200)
     monitor.add_argument("--web-port", type=int, default=8080)
-    add_backend(monitor)
     monitor.set_defaults(run=run_monitor_server)
 
     node = sub.add_parser("node", help="run one CATS node")
@@ -272,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     node.add_argument("--replication", type=int, default=3)
     node.add_argument("--key-bits", type=int, default=32)
     node.add_argument("--workers", type=int, default=2)
-    add_backend(node)
     node.set_defaults(run=run_node)
 
     for name, runner in (("put", run_put), ("get", run_get)):
@@ -282,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument("--key-bits", type=int, default=32)
         cmd.add_argument("--timeout", type=float, default=10.0)
-        add_backend(cmd)
         cmd.add_argument("key")
         if name == "put":
             cmd.add_argument("value")

@@ -1,15 +1,17 @@
 """CATS on the shard harness: a store partitioned across OS processes.
 
 This is the CATS face of :mod:`repro.runtime.shard` — paper Fig 10's
-deployment, with the single-process LoopbackNetwork swapped for the
-multi-process ShardNetwork.  Each worker hosts a slice of the ring
-(:class:`ShardCatsHost` roots); the coordinator process runs the client
-plane (CatsClient behind a GatewayNetwork) and records an operation
+deployment, assembled the way ``python -m repro.cats node`` assembles it
+and spread over worker processes.  Each worker hosts a slice of the ring
+(:class:`ShardCatsHost` roots, each on its own ``AioTcpNetwork``); the
+coordinator process hosts the ``BootstrapServer`` the nodes find each
+other through, runs the client plane (CatsClient on its own
+``AioTcpNetwork``) and records an operation
 :class:`~repro.consistency.history.History` for linearizability checking.
 
 All cross-shard traffic — ring stabilization, failure-detector pings,
 ABD quorum rounds, client requests — travels as compact-codec frames
-through the coordinator's router, so a run of this module is an
+over sockets the workers dial directly, so a run of this module is an
 end-to-end exercise of the wire format the ``par`` pass reasons about.
 """
 
@@ -22,8 +24,12 @@ from typing import Optional
 from ..core.component import ComponentDefinition
 from ..core.handler import handles
 from ..network.address import Address
+from ..network.aio import AioTcpNetwork
+from ..network.compact import CompactCodec
 from ..network.message import Network
-from ..runtime.shard import GatewayNetwork, ShardCluster, ShardNetwork, ShardSpec
+from ..network.serialization import FrameCodec
+from ..protocols.bootstrap.server import BootstrapServer
+from ..runtime.shard import ShardCluster, ShardSpec
 from ..timer.port import Timer
 from ..timer.thread_timer import ThreadTimer
 from .events import (
@@ -39,74 +45,67 @@ from .node import CatsConfig, CatsNode
 from .remote import CatsClient, RemoteApiServer
 
 __all__ = [
-    "shard_address",
     "ShardCatsHost",
     "CatsShardCoordinator",
     "cats_shard_worker",
 ]
 
-_SHARD_HOST = "shard"
-_CLIENT_ADDRESS = Address("shard-client", 1, node_id=1)
+
+def _wire_codec() -> FrameCodec:
+    """The cluster's wire format, the same at every endpoint: the compact
+    registry under the standard frame."""
+    return FrameCodec(codec=CompactCodec())
 
 
-def shard_address(node_id: int) -> Address:
-    """The deterministic cluster-wide address of one CATS node."""
-    return Address(_SHARD_HOST, 1, node_id=node_id)
-
-
-def _make_config(seeds: tuple[Address, ...], overrides: dict) -> CatsConfig:
+def _make_config(bootstrap: Address, overrides: dict) -> CatsConfig:
     defaults = dict(
         key_space=KeySpace(bits=16),
         replication_degree=3,
         stabilize_period=0.2,
         fd_interval=0.5,
         op_timeout=2.0,
-        seeds=seeds,
+        bootstrap_server=bootstrap,
     )
     defaults.update(overrides)
     return CatsConfig(**defaults)
 
 
 class ShardCatsHost(ComponentDefinition):
-    """One CATS node inside a shard worker: ShardNetwork + ThreadTimer +
+    """One CATS node inside a shard worker: AioTcpNetwork + ThreadTimer +
     CatsNode + RemoteApiServer, the per-node assembly of Fig 10."""
 
-    def __init__(self, address: Address, seeds: tuple[Address, ...],
+    def __init__(self, node_id: int, bootstrap: Address,
                  config_overrides: Optional[dict] = None) -> None:
         super().__init__()
-        self.address = address
-        net = self.create(ShardNetwork, address)
+        net = self.create(
+            AioTcpNetwork, Address("127.0.0.1", 0, node_id), codec=_wire_codec()
+        )
+        self.address = net.definition.address
         timer = self.create(ThreadTimer)
         self.node = self.create(
-            CatsNode, address, _make_config(seeds, config_overrides or {})
+            CatsNode, self.address, _make_config(bootstrap, config_overrides or {})
         )
-        api = self.create(RemoteApiServer, address)
+        api = self.create(RemoteApiServer, self.address)
         for child in (self.node, api):
             self.connect(net.provided(Network), child.required(Network))
         self.connect(timer.provided(Timer), self.node.required(Timer))
         self.connect(self.node.provided(PutGet), api.required(PutGet))
 
 
-def cats_shard_worker(context, node_ids, all_ids, config_overrides) -> None:
-    """Worker builder: host ``node_ids``, seeded with every other node.
+def cats_shard_worker(context, node_ids, bootstrap, config_overrides) -> None:
+    """Worker builder: host ``node_ids``, joining through ``bootstrap``.
 
     Referenced by spec string ``"repro.cats.sharding:cats_shard_worker"``;
     runs in a fresh spawned interpreter.
     """
     system = context.make_system()
     hosts = {}
-    creator = all_ids[0]
     for node_id in node_ids:
-        address = shard_address(node_id)
-        # Exactly one node cluster-wide gets empty seeds: RingJoin(()) is
-        # "create a fresh ring"; everyone else joins through the creator.
-        seeds = () if node_id == creator else tuple(
-            shard_address(other) for other in all_ids if other != node_id
-        )
         component = system.bootstrap(
-            ShardCatsHost, address, seeds, dict(config_overrides)
+            ShardCatsHost, node_id, bootstrap, dict(config_overrides)
         )
         hosts[node_id] = component.definition
+        context.register_address(component.definition.address)
 
     def joined() -> dict:
         return {
@@ -177,14 +176,31 @@ class _ClientRecorder(ComponentDefinition):
         self._pending = dict(state)
 
 
-class _ClientHost(ComponentDefinition):
-    """The coordinator-side client plane: GatewayNetwork + CatsClient."""
+class _BootstrapHost(ComponentDefinition):
+    """The coordinator's bootstrap service, through which the workers'
+    nodes find each other (``python -m repro.cats bootstrap-server``)."""
 
-    def __init__(self, cluster: ShardCluster, address: Address,
-                 server: Address) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        net = self.create(GatewayNetwork, address, cluster)
-        client = self.create(CatsClient, address, server)
+        net = self.create(
+            AioTcpNetwork, Address("127.0.0.1", 0), codec=_wire_codec()
+        )
+        self.address = net.definition.address
+        timer = self.create(ThreadTimer)
+        server = self.create(BootstrapServer, self.address)
+        self.connect(net.provided(Network), server.required(Network))
+        self.connect(timer.provided(Timer), server.required(Timer))
+
+
+class _ClientHost(ComponentDefinition):
+    """The coordinator-side client plane: AioTcpNetwork + CatsClient."""
+
+    def __init__(self, server: Address) -> None:
+        super().__init__()
+        net = self.create(
+            AioTcpNetwork, Address("127.0.0.1", 0, node_id=1), codec=_wire_codec()
+        )
+        client = self.create(CatsClient, net.definition.address, server)
         self.recorder = self.create(_ClientRecorder)
         self.connect(net.provided(Network), client.required(Network))
         self.connect(client.provided(PutGet), self.recorder.required(PutGet))
@@ -221,30 +237,33 @@ class CatsShardCoordinator:
         from ..runtime.system import ComponentSystem
 
         self._not_found = NOT_FOUND
-        node_ids = list(node_ids)
-        all_ids = tuple(node_ids)
+        self.node_ids = tuple(node_ids)
         overrides = dict(config_overrides or {})
-        specs = [
-            ShardSpec(
-                "repro.cats.sharding:cats_shard_worker",
-                (shard, all_ids, overrides),
-            )
-            for shard in _round_robin(node_ids, workers)
-        ]
-        self.node_ids = all_ids
-        self.cluster = ShardCluster(specs)
+        self.system = ComponentSystem(name="shard-coordinator")
+        self.cluster: Optional[ShardCluster] = None
         try:
+            bootstrap = self.system.bootstrap(_BootstrapHost).definition.address
+            self.cluster = ShardCluster([
+                ShardSpec(
+                    "repro.cats.sharding:cats_shard_worker",
+                    (shard, bootstrap, overrides),
+                )
+                for shard in _round_robin(self.node_ids, workers)
+            ])
             self.cluster.wait_ready(timeout=120.0)
-            self.system = ComponentSystem(name="shard-coordinator")
-            server = shard_address(
-                server_id if server_id is not None else node_ids[0]
-            )
-            host = self.system.bootstrap(
-                _ClientHost, self.cluster, _CLIENT_ADDRESS, server
-            )
+            #: node id -> the address its worker bound and announced
+            self.addresses = {
+                address.node_id: address
+                for index in range(self.cluster.workers)
+                for address in self.cluster.addresses(index)
+            }
+            server = self.addresses[
+                server_id if server_id is not None else self.node_ids[0]
+            ]
+            host = self.system.bootstrap(_ClientHost, server)
             self._recorder = host.definition.recorder.definition
         except Exception:
-            self.cluster.close()
+            self.close()
             raise
         self.history = History()
         self._history_lock = threading.Lock()
@@ -266,7 +285,8 @@ class CatsShardCoordinator:
 
     def close(self) -> None:
         self.system.shutdown()
-        self.cluster.close()
+        if self.cluster is not None:
+            self.cluster.close()
 
     def __enter__(self) -> "CatsShardCoordinator":
         return self

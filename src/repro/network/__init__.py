@@ -1,10 +1,12 @@
 """The Network abstraction and its pluggable implementations.
 
-Three interchangeable providers of the same Network port (the paper's
+Interchangeable providers of the same Network port (the paper's
 MINA/Netty/Grizzly pluggability, section 3):
 
-- :class:`LoopbackNetwork` — in-process routing (local stress-test mode);
-- :class:`TcpNetwork` — real sockets, framing, compression (deployment);
+- :class:`LoopbackNetwork` — in-process routing (local stress-test mode),
+  and :class:`DelayedLoopbackNetwork` with a latency/loss model;
+- :class:`AioTcpNetwork` — real sockets, framing, compression: deployed
+  nodes and shard workers alike;
 - :class:`repro.simulation.emulator.EmulatedNetwork` — simulated latency
   under virtual time (simulation mode).
 """
@@ -12,7 +14,6 @@ MINA/Netty/Grizzly pluggability, section 3):
 from .address import Address, local_address
 from .compact import CompactCodec, register_compact
 from .delayed import DelayedLoopbackNetwork
-from .json_codec import JsonCodec, register_message, registered_types
 from .loopback import LoopbackHub, LoopbackNetwork, hub_of
 from .message import Message, Network, NetworkControlMessage
 from .serialization import (
@@ -23,7 +24,6 @@ from .serialization import (
     PickleCodec,
     SerializationError,
 )
-from .tcp import TcpNetwork
 
 # Imported last: aio reaches into protocols.monitor (Status port), whose
 # package init re-imports network submodules — by now they are all loaded.
@@ -38,7 +38,6 @@ __all__ = [
     "DelayedLoopbackNetwork",
     "FrameCodec",
     "FrameStreamParser",
-    "JsonCodec",
     "LoopbackHub",
     "LoopbackNetwork",
     "Message",
@@ -46,10 +45,7 @@ __all__ = [
     "NetworkControlMessage",
     "PickleCodec",
     "SerializationError",
-    "TcpNetwork",
     "hub_of",
     "local_address",
     "register_compact",
-    "register_message",
-    "registered_types",
 ]

@@ -1,14 +1,17 @@
-"""AioTcpNetwork: a selector-based non-blocking TCP Network backend.
+"""AioTcpNetwork: the selector-based non-blocking TCP Network backend.
 
-The wire-speed counterpart of :class:`~repro.network.tcp.TcpNetwork`
-(which stays verbatim as the differential oracle).  Same ``Network``
-port contract, same length-prefixed frames and hello handshake — so the
-two backends interoperate on one wire — but a completely different
-execution model:
+The one socket transport in ``src/``, for deployed nodes
+(``python -m repro.cats``) and shard workers alike: the stand-in for
+the paper's Grizzly/Netty/MINA components (section 3) — automatic
+connection management, length-prefixed frames, pluggable codec,
+compression.  The blocking thread-per-connection backend it replaced is
+kept verbatim in ``tests/reference/tcp.py`` as the differential oracle;
+it imports this module's hello handshake, so the two interoperate on one
+wire.  Execution model:
 
 - **one event-loop thread** owns the selector, every read, and every
   connection's life cycle (dial, ``EVENT_WRITE`` interest, redial,
-  backoff, idle reaping); the blocking backend burns a reader and a
+  backoff, idle reaping); the blocking oracle burns a reader and a
   writer thread per connection.  An iteration costs the sockets that
   are ready: timers hang off one stored next-deadline, and the peer
   table is walked only when that deadline passes;
@@ -64,6 +67,7 @@ import socket
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core.component import ComponentDefinition
@@ -75,7 +79,7 @@ from ..protocols.monitor.port import (
     StatusSnapshotEnd,
 )
 from .address import Address
-from .message import Message, Network
+from .message import Message, Network, NetworkControlMessage
 from .serialization import (
     BATCH_OVERHEAD,
     FRAME_OVERHEAD,
@@ -83,7 +87,6 @@ from .serialization import (
     FrameStreamParser,
     SerializationError,
 )
-from .tcp import _Hello
 
 #: iovec segments per sendmsg call, safely under every platform's IOV_MAX.
 _IOV_CAP = 512
@@ -93,6 +96,11 @@ _MAX_BATCH = 128
 _RECV_BUFFER = 256 * 1024
 #: "No timer pending": the loop then sleeps until a socket or the self-pipe wakes it.
 _NEVER = float("inf")
+
+
+@dataclass(frozen=True, slots=True)
+class _Hello(NetworkControlMessage):
+    """Handshake frame: tells the acceptor the dialer's listen address."""
 
 
 class _Peer:
@@ -147,9 +155,9 @@ class _AioConnection:
         self.closed = False
 
 
-# Like TcpNetwork, a transport endpoint is process-local: migration means
-# binding a fresh listener at the destination and letting peers redial,
-# so section-2.6 state transfer is deliberately not implemented.
+# A transport endpoint is process-local: migration means binding a fresh
+# listener at the destination and letting peers redial, so section-2.6
+# state transfer is deliberately not implemented.
 class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
     """Provides Network over non-blocking TCP with write coalescing."""
 

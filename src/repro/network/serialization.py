@@ -266,7 +266,7 @@ class FrameCodec:
             raise SerializationError("truncated frame")
         return self.decode_payload(flags, payload)
 
-    # Streaming helpers (used by the TCP transport) ------------------------
+    # Blocking-stream helpers (the reference transport's read loop) --------
 
     def read_frame(self, stream: io.RawIOBase) -> Optional[Message]:
         """Read one frame from a blocking stream; None on clean EOF."""
@@ -282,9 +282,9 @@ class FrameCodec:
     def read_frames(self, stream: io.RawIOBase) -> Optional[list[Message]]:
         """Read one wire frame — plain or batch — as a list of messages.
 
-        None on clean EOF.  This is what the blocking transport's read
-        loop uses, so a blocking peer interoperates with a coalescing
-        non-blocking sender.
+        None on clean EOF.  This is what a blocking read loop uses (the
+        reference transport in ``tests/reference/tcp.py``), so a blocking
+        peer interoperates with a coalescing non-blocking sender.
         """
         header = _read_exactly(stream, _HEADER.size)
         if header is None:

@@ -18,7 +18,7 @@ from ...core.handler import handles
 from .port import Web, WebRequest, WebResponse, new_request_id
 
 
-# The HTTP bridge is process-local ingress like TcpNetwork: a migrated
+# The HTTP bridge is process-local ingress like AioTcpNetwork: a migrated
 # WebServer re-binds its listener in __init__ and pending HTTP exchanges
 # fail over via the client-side response timeout, so section-2.6 state
 # transfer is deliberately not implemented and the component stays

@@ -16,59 +16,43 @@ Shape:
   inherited module state — connected to the coordinator by a duplex pipe.
 - Inside a worker, a :func:`ShardSpec.builder` (a ``"module:callable"``
   spec, resolved by import) bootstraps components onto a per-worker
-  ComponentSystem whose Network is a :class:`ShardNetwork`: deliveries to
-  addresses in the same worker go by reference (exactly the in-process
-  LoopbackNetwork semantics), deliveries to any other address are framed
-  with the compact codec and routed through the coordinator.
-- The coordinator's router thread forwards frames by destination address
-  to the owning worker, or to parent-side adapters (see
-  :class:`GatewayNetwork`) so a client plane in the coordinator process
-  can talk to the sharded tree through the same Network abstraction.
+  ComponentSystem.  A worker is a process running the normal Network
+  component: its hosts bind ordinary ``AioTcpNetwork`` listeners and
+  the workers dial each other directly, so no Network message between
+  two processes passes through the coordinator.
+- The coordinator keeps membership, placement and RPC only: which
+  worker announced which address, and named calls into a worker.
 
-The pipe protocol is deliberately tiny — tagged tuples::
+The pipe protocol carries control alone — tagged tuples::
 
-    child -> parent: ("ready", addresses), ("msg", dest, frame),
-                     ("result", name, ok, payload), ("stopped",), ("error", text)
-    parent -> child: ("msg", frame), ("call", name, args), ("stop",)
+    child -> parent: ("ready", addresses), ("result", seq, ok, payload),
+                     ("error", text)
+    parent -> child: ("call", seq, name, args), ("stop",)
 
 ``("call", ...)`` gives tests and benchmarks named observables inside a
-worker (joined flags, planted-fixture counters, trace fingerprints)
-without widening the transport.
+worker (joined flags, planted-fixture counters, trace fingerprints); a
+fixture that needs a peer's address receives it as a call argument.
 """
 
 from __future__ import annotations
 
 import importlib
 import multiprocessing
-import multiprocessing.connection
-import queue
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..core.component import ComponentDefinition
-from ..core.handler import handles
 from ..network.address import Address
-from ..network.compact import CompactCodec
-from ..network.message import Message, Network
-from ..network.serialization import FrameCodec
 
 __all__ = [
     "ShardSpec",
     "ShardCluster",
-    "ShardHub",
-    "ShardNetwork",
-    "GatewayNetwork",
+    "ShardWorkerError",
     "WorkerContext",
-    "install_shard_hub",
     "resolve_spec",
 ]
-
-
-def _default_codec() -> FrameCodec:
-    """Cross-shard wire format: compact codec under the standard frame."""
-    return FrameCodec(codec=CompactCodec())
 
 
 def resolve_spec(spec: str) -> Callable:
@@ -99,178 +83,63 @@ class ShardSpec:
 # --------------------------------------------------------------- child side
 
 
-_SERVICE_KEY = "shard_hub"
-
-
-class ShardHub:
-    """Per-worker routing table: local by reference, remote via the pipe."""
-
-    def __init__(self, sender: Callable[[Address, bytes], None],
-                 codec: Optional[FrameCodec] = None) -> None:
-        self._routes: dict[Address, "ShardNetwork"] = {}
-        self._lock = threading.Lock()
-        self._sender = sender
-        self._codec = codec if codec is not None else _default_codec()
-        self.delivered_local = 0
-        self.sent_remote = 0
-        self.received_remote = 0
-        self.dropped = 0
-
-    def register(self, address: Address, adapter: "ShardNetwork") -> None:
-        with self._lock:
-            self._routes[address] = adapter
-
-    def unregister(self, address: Address) -> None:
-        with self._lock:
-            self._routes.pop(address, None)
-
-    @property
-    def addresses(self) -> tuple[Address, ...]:
-        with self._lock:
-            return tuple(self._routes)
-
-    def route(self, message: Message) -> None:
-        """Called from a sender's handler thread inside this worker."""
-        with self._lock:
-            adapter = self._routes.get(message.destination)
-        if adapter is not None:
-            # Same-shard: by reference, the in-process semantics.
-            self.delivered_local += 1
-            adapter.deliver(message)
-            return
-        # Cross-shard: through the wire format, via the coordinator.
-        self.sent_remote += 1
-        self._sender(message.destination, self._codec.frame(message))
-
-    def deliver_remote(self, data: bytes) -> None:
-        """Called by the worker's pipe thread for an inbound frame."""
-        message = self._codec.unframe(data)
-        with self._lock:
-            adapter = self._routes.get(message.destination)
-        if adapter is None:
-            # Mirrors LoopbackHub: a datagram to a dead host drops silently.
-            self.dropped += 1
-            return
-        self.received_remote += 1
-        adapter.deliver(message)
-
-
-def install_shard_hub(system, sender: Callable[[Address, bytes], None],
-                      codec: Optional[FrameCodec] = None) -> ShardHub:
-    """Create and register this worker's hub as a system service."""
-    hub = ShardHub(sender, codec=codec)
-    system.register_service(_SERVICE_KEY, hub)
-    return hub
-
-
-class ShardNetwork(ComponentDefinition):
-    """Provides Network for one node address within a shard worker."""
-
-    def __init__(self, address: Address) -> None:
-        super().__init__()
-        self.address = address
-        self.port = self.provides(Network)
-        hub = self.system.services.get(_SERVICE_KEY)
-        if hub is None:
-            raise RuntimeError(
-                "no ShardHub service: call install_shard_hub(system, ...) "
-                "before bootstrapping ShardNetwork components"
-            )
-        self._hub: ShardHub = hub
-        self._hub.register(address, self)
-        self.sent = 0
-        self.received = 0
-        self.subscribe(self.on_send, self.port)
-
-    @handles(Message)
-    def on_send(self, message: Message) -> None:
-        self.sent += 1
-        self._hub.route(message)
-
-    def deliver(self, message: Message) -> None:
-        """Called by the hub (from a handler or the worker's pipe thread)."""
-        self.received += 1
-        self.trigger(message, self.port)
-
-    def tear_down(self) -> None:
-        self._hub.unregister(self.address)
-
-
 class WorkerContext:
-    """Child-side harness state: the pipe, the hub, named observables.
+    """Child-side harness state: the pipe, announced addresses, named calls.
 
     A builder typically does::
 
         def my_worker(ctx, *args):
             system = ctx.make_system()
-            ... system.bootstrap(...) with ShardNetwork components ...
+            host = system.bootstrap(...).definition  # hosts an AioTcpNetwork
+            ctx.register_address(host.address)
             ctx.register_call("observable", lambda: ...)
     """
 
     def __init__(self, conn, index: int) -> None:
         self.conn = conn
         self.index = index
-        self._send_lock = threading.Lock()
         self._systems: list = []
         self._calls: dict[str, Callable] = {}
-        self.hub: Optional[ShardHub] = None
+        self._addresses: list[Address] = []
 
     # -- builder API
 
     def make_system(self, **kwargs):
-        """A real-time ComponentSystem with this worker's ShardHub installed."""
+        """A real-time ComponentSystem, shut down when the worker stops."""
         from .system import ComponentSystem
 
         kwargs.setdefault("name", f"shard-{self.index}")
         system = ComponentSystem(**kwargs)
-        self.hub = install_shard_hub(system, self.send_frame)
         self._systems.append(system)
         return system
 
-    def track(self, system) -> None:
-        """Register an externally-built system for shutdown on stop."""
-        self._systems.append(system)
+    def register_address(self, address: Address) -> None:
+        """Announce a bound node address to the coordinator when ready."""
+        self._addresses.append(address)
 
     def register_call(self, name: str, fn: Callable) -> None:
         """Expose a named observable the coordinator can invoke."""
         self._calls[name] = fn
 
-    def send_frame(self, dest: Address, data: bytes) -> None:
-        self._send(("msg", dest, data))
-
     # -- harness plumbing
 
-    def _send(self, payload: tuple) -> None:
-        with self._send_lock:
-            self.conn.send(payload)
-
-    def announce_ready(self) -> None:
-        addresses = self.hub.addresses if self.hub is not None else ()
-        self._send(("ready", tuple(addresses)))
-
     def serve(self) -> None:
-        """Answer the pipe until the coordinator says stop."""
+        """Announce readiness, then answer calls until the coordinator says stop."""
+        self.conn.send(("ready", tuple(self._addresses)))
         while True:
             payload = self.conn.recv()
-            tag = payload[0]
-            if tag == "msg":
-                if self.hub is not None:
-                    self.hub.deliver_remote(payload[1])
-            elif tag == "call":
-                _, name, args = payload
-                try:
-                    result = self._calls[name](*args)
-                    self._send(("result", name, True, result))
-                except Exception:
-                    self._send(("result", name, False, traceback.format_exc()))
-            elif tag == "stop":
+            if payload[0] == "stop":
                 break
+            _, seq, name, args = payload
+            try:
+                self.conn.send(("result", seq, True, self._calls[name](*args)))
+            except Exception:
+                self.conn.send(("result", seq, False, traceback.format_exc()))
         for system in self._systems:
             try:
                 system.shutdown()
             except Exception:
                 pass
-        self._send(("stopped",))
 
 
 def _shard_worker(conn, index: int, spec: ShardSpec) -> None:
@@ -279,7 +148,6 @@ def _shard_worker(conn, index: int, spec: ShardSpec) -> None:
     try:
         builder = resolve_spec(spec.builder)
         builder(context, *spec.args)
-        context.announce_ready()
         context.serve()
     except EOFError:
         pass  # coordinator died; exit quietly
@@ -294,40 +162,30 @@ def _shard_worker(conn, index: int, spec: ShardSpec) -> None:
 
 
 class ShardWorkerError(RuntimeError):
-    """A worker failed to build or a call inside it raised."""
+    """A worker failed to build, died, or a call inside it raised."""
 
 
 @dataclass
 class _WorkerHandle:
     process: multiprocessing.process.BaseProcess
     conn: multiprocessing.connection.Connection
-    ready: threading.Event = field(default_factory=threading.Event)
-    addresses: tuple[Address, ...] = ()
-    results: "queue.Queue[tuple[str, bool, object]]" = field(
-        default_factory=queue.Queue
-    )
-    call_lock: threading.Lock = field(default_factory=threading.Lock)
-    send_lock: threading.Lock = field(default_factory=threading.Lock)
-    error: Optional[str] = None
-    stopped: bool = False
+    addresses: Optional[tuple[Address, ...]] = None  # None until "ready"
+    seq: int = 0  # of the last call sent; older results are stale
+    lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 class ShardCluster:
-    """Coordinator for N shard workers plus parent-side gateway adapters."""
+    """Coordinator for N shard workers: membership, placement and RPC."""
 
-    def __init__(self, specs: list[ShardSpec],
-                 codec: Optional[FrameCodec] = None,
-                 start_method: str = "spawn") -> None:
+    def __init__(self, specs: list[ShardSpec]) -> None:
         if not specs:
             raise ValueError("a ShardCluster needs at least one ShardSpec")
-        self._codec = codec if codec is not None else _default_codec()
-        ctx = multiprocessing.get_context(start_method)
+        # spawn, never fork: a fresh interpreter per worker is what makes
+        # module globals honestly per-process (P001).
+        ctx = multiprocessing.get_context("spawn")
         self._workers: list[_WorkerHandle] = []
         self._owner: dict[Address, int] = {}
-        self._local: dict[Address, Callable[[Message], None]] = {}
-        self._routes_lock = threading.Lock()
         self._closed = False
-        self.dropped = 0
         for index, spec in enumerate(specs):
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             process = ctx.Process(
@@ -339,117 +197,62 @@ class ShardCluster:
             process.start()
             child_conn.close()
             self._workers.append(_WorkerHandle(process=process, conn=parent_conn))
-        self._router = threading.Thread(
-            target=self._route_loop, name="shard-router", daemon=True
-        )
-        self._router.start()
 
-    # ------------------------------------------------------------- routing
+    def _receive(self, index: int, deadline: float, timeout_message: str) -> tuple:
+        """The next control message from worker ``index`` (its lock held).
 
-    def _route_loop(self) -> None:
-        conns = {worker.conn: worker for worker in self._workers}
-        while conns and not self._closed:
-            try:
-                readable = multiprocessing.connection.wait(list(conns), timeout=0.2)
-            except OSError:
-                break
-            for conn in readable:
-                worker = conns[conn]
-                try:
-                    payload = conn.recv()
-                except (EOFError, OSError):
-                    del conns[conn]
-                    if not worker.stopped and worker.error is None:
-                        worker.error = "worker pipe closed unexpectedly"
-                        worker.ready.set()
-                    continue
-                self._dispatch(worker, payload)
-
-    def _dispatch(self, worker: _WorkerHandle, payload: tuple) -> None:
-        tag = payload[0]
-        if tag == "msg":
-            _, dest, data = payload
-            self._route_frame(dest, data)
-        elif tag == "ready":
+        A ``"ready"`` announcement is recorded on the way through; an
+        ``"error"`` or a closed pipe raises :class:`ShardWorkerError`.
+        """
+        worker = self._workers[index]
+        if not worker.conn.poll(max(0.0, deadline - time.monotonic())):
+            raise TimeoutError(timeout_message)
+        try:
+            payload = worker.conn.recv()
+        except (EOFError, OSError):
+            payload = ("error", "worker pipe closed unexpectedly")
+        if payload[0] == "error":
+            raise ShardWorkerError(f"shard worker {index} failed:\n{payload[1]}")
+        if payload[0] == "ready":
             worker.addresses = payload[1]
-            index = self._workers.index(worker)
-            with self._routes_lock:
-                for address in payload[1]:
-                    self._owner[address] = index
-            worker.ready.set()
-        elif tag == "result":
-            _, name, ok, value = payload
-            worker.results.put((name, ok, value))
-        elif tag == "error":
-            worker.error = payload[1]
-            worker.ready.set()
-        elif tag == "stopped":
-            worker.stopped = True
-
-    def _route_frame(self, dest: Address, data: bytes) -> None:
-        with self._routes_lock:
-            index = self._owner.get(dest)
-            deliver = self._local.get(dest)
-        if index is not None:
-            worker = self._workers[index]
-            with worker.send_lock:
-                worker.conn.send(("msg", data))
-        elif deliver is not None:
-            deliver(self._codec.unframe(data))
-        else:
-            self.dropped += 1
-
-    # ---------------------------------------------------------- parent API
-
-    def register_local(self, address: Address,
-                       deliver: Callable[[Message], None]) -> None:
-        """Claim an address for the coordinator process (a client plane)."""
-        with self._routes_lock:
-            self._local[address] = deliver
-
-    def unregister_local(self, address: Address) -> None:
-        with self._routes_lock:
-            self._local.pop(address, None)
-
-    def send_message(self, message: Message) -> None:
-        """Route a coordinator-side message into the cluster."""
-        self._route_frame(message.destination, self._codec.frame(message))
-
-    def owner_of(self, address: Address) -> Optional[int]:
-        with self._routes_lock:
-            return self._owner.get(address)
+            for address in worker.addresses:
+                self._owner[address] = index
+        return payload
 
     def wait_ready(self, timeout: float = 60.0) -> None:
         """Block until every worker announced its addresses (or errored)."""
+        deadline = time.monotonic() + timeout
         for index, worker in enumerate(self._workers):
-            if not worker.ready.wait(timeout):
-                raise TimeoutError(f"shard worker {index} not ready")
-            if worker.error is not None:
-                raise ShardWorkerError(
-                    f"shard worker {index} failed:\n{worker.error}"
-                )
+            with worker.lock:
+                while worker.addresses is None:
+                    self._receive(index, deadline, f"shard worker {index} not ready")
+
+    def addresses(self, worker_index: int) -> tuple[Address, ...]:
+        """The node addresses a ready worker announced."""
+        return self._workers[worker_index].addresses or ()
+
+    def owner_of(self, address: Address) -> Optional[int]:
+        return self._owner.get(address)
 
     def call(self, worker_index: int, name: str, *args,
              timeout: float = 60.0):
-        """Invoke a named observable inside a worker and return its value."""
+        """Invoke a named observable inside a worker and return its value.
+
+        Each call carries a sequence number; an answer to a call that
+        timed out earlier is discarded when it finally arrives.
+        """
         worker = self._workers[worker_index]
-        with worker.call_lock:
-            with worker.send_lock:
-                worker.conn.send(("call", name, args))
-            try:
-                got_name, ok, value = worker.results.get(timeout=timeout)
-            except queue.Empty:
-                if worker.error is not None:
-                    raise ShardWorkerError(
-                        f"shard worker {worker_index} failed:\n{worker.error}"
-                    ) from None
-                raise TimeoutError(
-                    f"call {name!r} on worker {worker_index} timed out"
-                ) from None
-        if got_name != name:
-            raise ShardWorkerError(
-                f"out-of-order result: asked {name!r}, got {got_name!r}"
-            )
+        deadline = time.monotonic() + timeout
+        with worker.lock:
+            worker.seq += 1
+            seq = worker.seq
+            worker.conn.send(("call", seq, name, args))
+            timeout_message = f"call {name!r} on worker {worker_index} timed out"
+            while True:
+                payload = self._receive(worker_index, deadline, timeout_message)
+                if payload[0] == "result" and payload[1] == seq:
+                    break
+        _, _, ok, value = payload
         if not ok:
             raise ShardWorkerError(
                 f"call {name!r} on worker {worker_index} raised:\n{value}"
@@ -461,13 +264,13 @@ class ShardCluster:
         return len(self._workers)
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop workers, join processes, stop the router thread."""
+        """Stop workers and join their processes."""
         if self._closed:
             return
+        self._closed = True
         for worker in self._workers:
             try:
-                with worker.send_lock:
-                    worker.conn.send(("stop",))
+                worker.conn.send(("stop",))
             except (OSError, BrokenPipeError):
                 pass
         for worker in self._workers:
@@ -475,9 +278,6 @@ class ShardCluster:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout)
-        self._closed = True
-        self._router.join(timeout)
-        for worker in self._workers:
             worker.conn.close()
 
     def __enter__(self) -> "ShardCluster":
@@ -485,35 +285,3 @@ class ShardCluster:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-class GatewayNetwork(ComponentDefinition):
-    """Provides Network for a coordinator-side address.
-
-    The parent-process twin of :class:`ShardNetwork`: outbound messages
-    are framed and routed into the cluster; inbound frames addressed to
-    this address are decoded by the router thread and triggered here.
-    """
-
-    def __init__(self, address: Address, cluster: ShardCluster) -> None:
-        super().__init__()
-        self.address = address
-        self.port = self.provides(Network)
-        self._cluster = cluster
-        self._cluster.register_local(address, self.deliver)
-        self.sent = 0
-        self.received = 0
-        self.subscribe(self.on_send, self.port)
-
-    @handles(Message)
-    def on_send(self, message: Message) -> None:
-        self.sent += 1
-        self._cluster.send_message(message)
-
-    def deliver(self, message: Message) -> None:
-        """Called by the cluster router thread."""
-        self.received += 1
-        self.trigger(message, self.port)
-
-    def tear_down(self) -> None:
-        self._cluster.unregister_local(self.address)

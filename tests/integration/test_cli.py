@@ -52,6 +52,19 @@ class TestArgumentParsing:
         get = build_parser().parse_args(["get", "--server", "127.0.0.1:9301", "alice"])
         assert get.key == "alice"
 
+    def test_no_transport_choice(self):
+        """Every role runs on the one socket transport: there is no flag."""
+        for argv in (
+            ["bootstrap-server"],
+            ["monitor-server"],
+            ["node", "--port", "1", "--node-id", "1", "--bootstrap", "127.0.0.1:2"],
+            ["put", "--server", "127.0.0.1:1", "k", "v"],
+            ["get", "--server", "127.0.0.1:1", "k"],
+        ):
+            assert not hasattr(build_parser().parse_args(argv), "backend")
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([*argv, "--backend", "tcp"])
+
 
 @pytest.mark.slow
 class TestMultiProcessDeployment:

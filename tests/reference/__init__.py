@@ -9,5 +9,9 @@ knows these modules exist:
   test_engine_differential.py``;
 - :mod:`tests.reference.walker` — the recursive §2.3 dissemination walk
   (dispatch before compiled plans), for
-  ``tests/property/test_dispatch_differential.py``.
+  ``tests/property/test_dispatch_differential.py``;
+- :mod:`tests.reference.tcp` — the blocking thread-per-connection
+  ``TcpNetwork`` (the socket transport before ``AioTcpNetwork``), for
+  ``tests/substrate/test_netio_differential.py`` and the interop and
+  bounded-outbox cases of ``tests/substrate/test_aio_network.py``.
 """

@@ -1,4 +1,4 @@
-"""TcpNetwork: a real-sockets Network implementation.
+"""TcpNetwork: the blocking real-sockets Network, kept as an oracle.
 
 The stand-in for the paper's Grizzly/Netty/MINA components (section 3):
 automatic connection management, length-prefixed frames, pluggable codec,
@@ -8,7 +8,9 @@ Network port from reader threads (component enqueueing is thread-safe).
 
 Connections are reused in both directions: a dialing node sends a hello
 frame carrying its listen address, so the accepting side can route replies
-back over the same socket.
+back over the same socket.  The hello is
+:class:`repro.network.aio.AioTcpNetwork`'s own, so the two backends speak
+one wire; the differential and interop suites rely on that.
 """
 
 from __future__ import annotations
@@ -16,25 +18,20 @@ from __future__ import annotations
 import queue
 import socket
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
-from ..core.component import ComponentDefinition
-from ..core.handler import handles
-from ..protocols.monitor.port import (
+from repro.core.component import ComponentDefinition
+from repro.core.handler import handles
+from repro.network.address import Address
+from repro.network.aio import _Hello
+from repro.network.message import Message, Network
+from repro.network.serialization import FrameCodec, SerializationError
+from repro.protocols.monitor.port import (
     Status,
     StatusRequest,
     StatusResponse,
     StatusSnapshotEnd,
 )
-from .address import Address
-from .message import Message, Network, NetworkControlMessage
-from .serialization import FrameCodec, SerializationError
-
-
-@dataclass(frozen=True, slots=True)
-class _Hello(NetworkControlMessage):
-    """Handshake frame: tells the acceptor the dialer's listen address."""
 
 
 # Live sockets cannot cross a process boundary: a migrated TcpNetwork

@@ -8,9 +8,12 @@ diverges — while its clean twin behaves identically in both placements.
   module-global counter, so the "total" the program computes depends on
   how many processes the components landed in.
 - :class:`IdentitySink` with ``dedup="identity"`` is a live P004:
-  deduplication by ``id(event)`` works in-process (same-shard delivery is
-  by reference) and silently stops working once the sender is a codec
-  round-trip away.
+  deduplication by ``id(event)`` works in-process (a send behind the
+  same network is delivered by reference) and silently stops working
+  once the sender is a codec round-trip away.
+
+Every fixture node sits on an ordinary ``AioTcpNetwork``; an address a
+fixture needs from another worker arrives as a ``call`` argument.
 
 Builders in this module are referenced by ``"module:callable"`` spec
 strings from :mod:`repro.runtime.shard` workers — they run in freshly
@@ -20,24 +23,30 @@ divergence honest.
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass
 
 from repro.core.component import ComponentDefinition
 from repro.core.handler import handles
 from repro.network.address import Address
-from repro.network.compact import register_compact
+from repro.network.aio import AioTcpNetwork
+from repro.network.compact import CompactCodec, register_compact
 from repro.network.message import Network, NetworkControlMessage
-from repro.runtime.shard import ShardNetwork
-
-FIXTURE_HOST = "fixture"
+from repro.network.serialization import FrameCodec
 
 #: The P001 hazard on display: module state every in-process component
 #: shares, and every process duplicates.
 GLOBAL_COUNT = 0
 
 
-def fixture_address(node_id: int) -> Address:
-    return Address(FIXTURE_HOST, 1, node_id=node_id)
+def _network(parent: ComponentDefinition, node_id: int):
+    """An ``AioTcpNetwork`` on a free loopback port, compact frames on the wire."""
+    return parent.create(
+        AioTcpNetwork,
+        Address("127.0.0.1", 0, node_id),
+        codec=FrameCodec(codec=CompactCodec()),
+    )
 
 
 @register_compact
@@ -50,18 +59,17 @@ class Poke(NetworkControlMessage):
 
 
 class PokeSource(ComponentDefinition):
-    """Sends ``count`` pokes to one peer when kicked from outside."""
+    """Sends ``count`` pokes to a peer when kicked from outside."""
 
-    def __init__(self, address: Address, peer: Address, count: int) -> None:
+    def __init__(self, address: Address, count: int) -> None:
         super().__init__()
         self.address = address
-        self.peer = peer
         self.count = count
         self.network = self.requires(Network)
 
-    def kick(self) -> None:
+    def kick(self, peer: Address) -> None:
         for seq in range(self.count):
-            self.trigger(Poke(self.address, self.peer, seq=seq), self.network)
+            self.trigger(Poke(self.address, peer, seq=seq), self.network)
 
 
 class GlobalCountingSink(ComponentDefinition):
@@ -83,32 +91,31 @@ class GlobalCountingSink(ComponentDefinition):
 
 
 class PokeHost(ComponentDefinition):
-    """One fixture node: ShardNetwork + source (towards ``peer``) + sink."""
+    """One fixture node: its own network + source + sink."""
 
-    def __init__(self, address: Address, peer: Address, count: int,
-                 use_global: bool) -> None:
+    def __init__(self, node_id: int, count: int, use_global: bool) -> None:
         super().__init__()
-        net = self.create(ShardNetwork, address)
-        self.source = self.create(PokeSource, address, peer, count)
+        net = _network(self, node_id)
+        self.address = net.definition.address
+        self.source = self.create(PokeSource, self.address, count)
         self.sink = self.create(GlobalCountingSink, use_global)
         for child in (self.source, self.sink):
             self.connect(net.provided(Network), child.required(Network))
 
 
-def poke_worker(context, node_ids, peers, count, use_global) -> None:
-    """Host ``node_ids``; each node pokes ``peers[node_id]`` when kicked."""
+def poke_worker(context, node_ids, count, use_global) -> None:
+    """Host ``node_ids``; ``kick(peers)`` makes each node poke
+    ``peers[node_id]``, an address the coordinator looked up."""
     system = context.make_system()
     hosts = {}
     for node_id in node_ids:
-        component = system.bootstrap(
-            PokeHost, fixture_address(node_id), fixture_address(peers[node_id]),
-            count, use_global,
-        )
-        hosts[node_id] = component.definition
+        host = system.bootstrap(PokeHost, node_id, count, use_global).definition
+        hosts[node_id] = host
+        context.register_address(host.address)
 
-    def kick() -> None:
-        for host in hosts.values():
-            host.source.definition.kick()
+    def kick(peers) -> None:
+        for node_id, host in hosts.items():
+            host.source.definition.kick(peers[node_id])
 
     context.register_call("kick", kick)
     context.register_call("global_count", lambda: GLOBAL_COUNT)
@@ -125,16 +132,15 @@ class TwicePokeSource(ComponentDefinition):
     """Triggers the *same* Poke object twice — at-least-once delivery as it
     looks to a sender that retries with the event it still holds."""
 
-    def __init__(self, address: Address, peer: Address) -> None:
+    def __init__(self, address: Address) -> None:
         super().__init__()
         self.address = address
-        self.peer = peer
         self.network = self.requires(Network)
-        self._poke = Poke(address, peer, seq=0)
 
-    def send_twice(self) -> None:
-        self.trigger(self._poke, self.network)
-        self.trigger(self._poke, self.network)
+    def send_twice(self, peer: Address) -> None:
+        poke = Poke(self.address, peer, seq=0)
+        self.trigger(poke, self.network)
+        self.trigger(poke, self.network)
 
 
 class IdentitySink(ComponentDefinition):
@@ -163,42 +169,57 @@ class IdentitySink(ComponentDefinition):
         self.processed += 1
 
 
-class SenderHost(ComponentDefinition):
-    def __init__(self, address: Address, peer: Address) -> None:
-        super().__init__()
-        net = self.create(ShardNetwork, address)
-        self.source = self.create(TwicePokeSource, address, peer)
-        self.connect(net.provided(Network), self.source.required(Network))
+class IdentityHost(ComponentDefinition):
+    """The sender (node 1) and/or the receiver (node 2) behind one network.
 
+    Hosting both, a poke to the receiver takes the network's same-host:port
+    short-circuit and arrives by reference, the in-process semantics.
+    """
 
-class ReceiverHost(ComponentDefinition):
-    def __init__(self, address: Address, dedup: str) -> None:
+    def __init__(self, host_sender: bool, host_receiver: bool, dedup: str) -> None:
         super().__init__()
-        net = self.create(ShardNetwork, address)
-        self.sink = self.create(IdentitySink, dedup)
-        self.connect(net.provided(Network), self.sink.required(Network))
+        net = _network(self, 2 if host_receiver else 1)
+        self.address = net.definition.address
+        self.source = self.sink = None
+        if host_sender:
+            self.source = self.create(TwicePokeSource, self.address.with_id(1))
+            self.connect(net.provided(Network), self.source.required(Network))
+        if host_receiver:
+            self.sink = self.create(IdentitySink, dedup)
+            self.connect(net.provided(Network), self.sink.required(Network))
 
 
 def identity_worker(context, host_sender, host_receiver, dedup) -> None:
-    """Host the sender (node 1) and/or the receiver (node 2)."""
+    """Host the sender and/or the receiver; ``kick(receiver)`` sends."""
     system = context.make_system()
-    parts = {}
-    if host_receiver:
-        component = system.bootstrap(ReceiverHost, fixture_address(2), dedup)
-        parts["receiver"] = component.definition
+    host = system.bootstrap(IdentityHost, host_sender, host_receiver, dedup).definition
+    context.register_address(host.address)
     if host_sender:
-        component = system.bootstrap(
-            SenderHost, fixture_address(1), fixture_address(2)
-        )
-        parts["sender"] = component.definition
-    if host_sender:
-        context.register_call(
-            "kick", lambda: parts["sender"].source.definition.send_twice()
-        )
+        context.register_call("kick", host.source.definition.send_twice)
     if host_receiver:
-        context.register_call(
-            "processed", lambda: parts["receiver"].sink.definition.processed
-        )
+        context.register_call("processed", lambda: host.sink.definition.processed)
+
+
+def rpc_worker(context, build_delay: float = 0.0) -> None:
+    """Calls for the pipe protocol itself: ``value`` counts its calls and
+    answers the first one a second late, ``boom`` raises, ``exit`` kills
+    the worker process mid-call."""
+    time.sleep(build_delay)
+    calls = []
+
+    def value() -> int:
+        calls.append(None)
+        if len(calls) == 1:
+            time.sleep(1.0)
+        return len(calls)
+
+    context.register_call("value", value)
+    context.register_call("boom", lambda: 1 // 0)
+    context.register_call("exit", lambda: os._exit(3))
+
+
+def failing_worker(context) -> None:
+    raise RuntimeError("planted build failure")
 
 
 # ---------------------------------------------- deterministic trace fixture

@@ -8,7 +8,8 @@ Three differentials, per the harness contract:
    tree behind the shard boundary changes nothing.
 2. *Linearizability under sharding* — a CATS cluster split across two
    workers, with all ring/quorum traffic crossing the cut as compact
-   frames, still serves a linearizable register.
+   frames between the workers' own sockets, still serves a linearizable
+   register.
 3. *Planted divergence* — the P001 (module-global state) and P004
    (identity-keyed dedup) fixture defects behave differently across the
    cut than within a shard, while their clean twins do not.
@@ -20,10 +21,10 @@ import time
 
 import pytest
 
-from repro.cats.sharding import CatsShardCoordinator, shard_address
+from repro.cats.sharding import CatsShardCoordinator
 from repro.consistency import check_history
 from repro.consistency.history import NOT_FOUND
-from repro.runtime.shard import ShardCluster, ShardSpec, resolve_spec
+from repro.runtime.shard import ShardCluster, ShardSpec, ShardWorkerError, resolve_spec
 
 from . import shard_fixtures
 
@@ -39,6 +40,16 @@ def _poll(fn, target, timeout=30.0):
     return value
 
 
+def _address_of(cluster, node_id):
+    """The address a worker announced for ``node_id``."""
+    return next(
+        address
+        for index in range(cluster.workers)
+        for address in cluster.addresses(index)
+        if address.node_id == node_id
+    )
+
+
 # ------------------------------------------------------------ plumbing
 
 
@@ -51,6 +62,58 @@ def test_resolve_spec():
 def test_cluster_requires_specs():
     with pytest.raises(ValueError):
         ShardCluster([])
+
+
+def test_call_after_a_timed_out_call_returns_the_fresh_value():
+    with ShardCluster([ShardSpec(f"{FIXTURES}:rpc_worker")]) as cluster:
+        cluster.wait_ready()
+        with pytest.raises(TimeoutError):
+            cluster.call(0, "value", timeout=0.2)
+        # The first call's late answer (1) must not pass for this one's.
+        assert cluster.call(0, "value") == 2
+
+
+def test_call_that_raises_reports_the_worker_traceback():
+    with ShardCluster([ShardSpec(f"{FIXTURES}:rpc_worker")]) as cluster:
+        cluster.wait_ready()
+        with pytest.raises(ShardWorkerError, match="ZeroDivisionError"):
+            cluster.call(0, "boom")
+
+
+def test_call_into_a_dead_worker_raises():
+    with ShardCluster([ShardSpec(f"{FIXTURES}:rpc_worker")]) as cluster:
+        cluster.wait_ready()
+        with pytest.raises(ShardWorkerError, match="pipe closed"):
+            cluster.call(0, "exit", timeout=10.0)
+
+
+def test_worker_build_failure_surfaces_in_wait_ready():
+    with ShardCluster([ShardSpec(f"{FIXTURES}:failing_worker")]) as cluster:
+        with pytest.raises(ShardWorkerError, match="planted build failure"):
+            cluster.wait_ready()
+
+
+def test_wait_ready_times_out_on_a_slow_builder():
+    with ShardCluster([ShardSpec(f"{FIXTURES}:rpc_worker", (0.5,))]) as cluster:
+        with pytest.raises(TimeoutError, match="not ready"):
+            cluster.wait_ready(timeout=0.1)
+        cluster.wait_ready()  # the late announcement still lands
+        with pytest.raises(ShardWorkerError, match="ZeroDivisionError"):
+            cluster.call(0, "boom")
+
+
+def test_workers_announce_their_bound_addresses():
+    specs = [
+        ShardSpec(f"{FIXTURES}:poke_worker", ((node_id,), 1, False))
+        for node_id in (1, 2)
+    ]
+    with ShardCluster(specs) as cluster:
+        cluster.wait_ready()
+        (one,), (two,) = cluster.addresses(0), cluster.addresses(1)
+        assert (one.node_id, two.node_id) == (1, 2)
+        assert one.host == two.host == "127.0.0.1"
+        assert 0 not in (one.port, two.port) and one.port != two.port
+        assert (cluster.owner_of(one), cluster.owner_of(two)) == (0, 1)
 
 
 # ------------------------------------- differential 1: fingerprint identity
@@ -78,7 +141,7 @@ def test_two_worker_cats_cluster_is_linearizable():
     try:
         # Round-robin placement really cuts the ring across processes.
         owners = {
-            coordinator.cluster.owner_of(shard_address(node_id))
+            coordinator.cluster.owner_of(coordinator.addresses[node_id])
             for node_id in coordinator.node_ids
         }
         assert owners == {0, 1}
@@ -107,15 +170,15 @@ def test_two_worker_cats_cluster_is_linearizable():
 def _run_poke(placements, use_global, count=5):
     """Run the P001 fixture with the given node placement; return
     (per-worker global counters, merged per-node received counts)."""
-    peers = {1: 2, 2: 1}
     specs = [
-        ShardSpec(f"{FIXTURES}:poke_worker", (node_ids, peers, count, use_global))
+        ShardSpec(f"{FIXTURES}:poke_worker", (node_ids, count, use_global))
         for node_ids in placements
     ]
     with ShardCluster(specs) as cluster:
         cluster.wait_ready()
+        peers = {1: _address_of(cluster, 2), 2: _address_of(cluster, 1)}
         for index in range(cluster.workers):
-            cluster.call(index, "kick")
+            cluster.call(index, "kick", peers)
         received: dict[int, int] = {}
         expected_total = count * 2
 
@@ -165,7 +228,7 @@ def _run_identity(split: bool, dedup: str) -> int:
         sender = receiver = 0
     with ShardCluster(specs) as cluster:
         cluster.wait_ready()
-        cluster.call(sender, "kick")
+        cluster.call(sender, "kick", _address_of(cluster, 2))
         processed = _poll(
             lambda: cluster.call(receiver, "processed"),
             2 if (split and dedup == "identity") else 1,
@@ -175,7 +238,7 @@ def _run_identity(split: bool, dedup: str) -> int:
 
 
 def test_p004_identity_dedup_diverges_across_shard_cut():
-    # In-process: both deliveries are the same object -> deduplicated.
+    # Behind one network: both deliveries are the same object -> deduplicated.
     assert _run_identity(split=False, dedup="identity") == 1
     # Across the cut every frame decodes to a fresh object: the id()-keyed
     # dedup silently stops working -- the duplicate is processed.

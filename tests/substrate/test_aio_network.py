@@ -1,10 +1,10 @@
 """AioTcpNetwork: the selector-based non-blocking TCP backend.
 
-Exercises the same contract the oracle tests pin for TcpNetwork —
-round trip, duplex connection reuse, per-pair ordering, dead-host
-resilience — plus what is new in the aio backend: write coalescing
-counters, the bounded outbox policies, idle reaping, reconnects, and
-interop with the blocking backend over one wire.
+Exercises the same contract the blocking oracle
+(``tests/reference/tcp.py``) pins — round trip, duplex connection reuse,
+per-pair ordering, dead-host resilience — plus what is new in the aio
+backend: write coalescing counters, the bounded outbox policies, idle
+reaping, reconnects, and interop with the oracle over one wire.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.network import (
     FrameCodec,
     Message,
     Network,
-    TcpNetwork,
 )
 from repro.protocols.monitor.port import (
     Status,
@@ -29,6 +28,7 @@ from repro.protocols.monitor.port import (
 )
 
 from tests.kit import Scaffold, wait_until
+from tests.reference.tcp import TcpNetwork
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _pair(system, factory_a=AioTcpNetwork, factory_b=AioTcpNetwork, **kwargs):
 
 def _send_until_received(sender, receiver, n, timeout=10.0):
     """Frames racing a dying connection are legitimately lost; retry like
-    a protocol would (same convention as the TcpNetwork reconnect suite)."""
+    a protocol would (same convention as the TCP reconnect suite)."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         sender.send(receiver.address, n)
@@ -182,6 +182,32 @@ def test_aio_send_to_dead_host_does_not_crash():
     system.shutdown()
 
 
+def test_aio_send_to_own_host_port_delivers_by_reference():
+    """Two nodes behind one network (different node ids, one listener): a
+    send between them takes the short-circuit and arrives as the very
+    object sent — the in-process semantics the shard harness relies on."""
+    system = _system()
+    built = {}
+
+    def build(scaffold):
+        net = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0, 1))
+        address = net.definition.address
+        for name, node_id in (("a", 1), ("b", 2)):
+            peer = scaffold.create(Peer, address.with_id(node_id))
+            scaffold.connect(net.provided(Network), peer.required(Network))
+            built[name] = peer.definition
+        built["net"] = net.definition
+
+    system.bootstrap(Scaffold, build)
+    a, b = built["a"], built["b"]
+    note = Note(a.address, b.address, n=5)
+    a.trigger(note, a.network)
+    assert wait_until(lambda: 5 in b.inbox, timeout=10)
+    assert next(m for m in b.messages if m.n == 5) is note
+    assert built["net"].status_snapshot()["bytes_sent"] == 0
+    system.shutdown()
+
+
 # ------------------------------------------------------------ bounded outbox
 
 
@@ -222,7 +248,7 @@ def test_aio_block_policy_sheds_newest_after_timeout():
 
 
 def test_blocking_tcp_drop_oldest_counts_dropped_frames():
-    """The oracle backend gained the same bounded outbox: wedge its writer
+    """The oracle backend has the same bounded outbox: wedge its writer
     against a listener that never reads and watch the queue shed frames."""
     import os
     import socket

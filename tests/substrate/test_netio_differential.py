@@ -1,7 +1,7 @@
 """Differential suite: AioTcpNetwork against the blocking TcpNetwork oracle.
 
-The blocking backend is kept verbatim as the reference implementation;
-this suite drives the same seeded workload through both and pins
+The blocking backend is kept verbatim in ``tests/reference/tcp.py`` as
+the reference implementation; this suite drives the same seeded workload through both and pins
 behavioural equivalence where the transport contract is deterministic:
 
 - per-(sender, receiver)-pair delivery order is exactly the send order;
@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import pytest
 
 from repro import ComponentDefinition, ComponentSystem, WorkStealingScheduler
-from repro.network import Address, AioTcpNetwork, Message, Network, TcpNetwork
+from repro.network import Address, AioTcpNetwork, Message, Network
 
 from tests.kit import Scaffold, wait_until
+from tests.reference.tcp import TcpNetwork
 
 NODES = 3
 SEED = 0xC0FFEE

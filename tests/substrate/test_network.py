@@ -9,13 +9,13 @@ import pytest
 from repro import ComponentDefinition, ComponentSystem, Start, WorkStealingScheduler, handles
 from repro.network import (
     Address,
+    AioTcpNetwork,
     FrameCodec,
     LoopbackNetwork,
     Message,
     Network,
     PickleCodec,
     SerializationError,
-    TcpNetwork,
     local_address,
 )
 
@@ -155,8 +155,8 @@ def test_tcp_network_round_trip_on_localhost():
     built = {}
 
     def build(scaffold):
-        net_a = scaffold.create(TcpNetwork, Address("127.0.0.1", 0, node_id=1))
-        net_b = scaffold.create(TcpNetwork, Address("127.0.0.1", 0, node_id=2))
+        net_a = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=1))
+        net_b = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=2))
         addr_a = net_a.definition.address
         addr_b = net_b.definition.address
         node_a = scaffold.create(Node, addr_a)
@@ -184,7 +184,7 @@ def test_tcp_send_to_dead_host_does_not_crash():
 
     def build(scaffold):
         net = scaffold.create(
-            TcpNetwork, Address("127.0.0.1", 0, node_id=1), connect_timeout=0.2
+            AioTcpNetwork, Address("127.0.0.1", 0, node_id=1), connect_timeout=0.2
         )
         node = scaffold.create(Node, net.definition.address)
         scaffold.connect(net.provided(Network), node.required(Network))
@@ -204,8 +204,8 @@ def test_tcp_message_ordering_per_connection():
     built = {}
 
     def build(scaffold):
-        net_a = scaffold.create(TcpNetwork, Address("127.0.0.1", 0))
-        net_b = scaffold.create(TcpNetwork, Address("127.0.0.1", 0))
+        net_a = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0))
+        net_b = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0))
         node_a = scaffold.create(Node, net_a.definition.address)
         node_b = scaffold.create(Node, net_b.definition.address)
         scaffold.connect(net_a.provided(Network), node_a.required(Network))

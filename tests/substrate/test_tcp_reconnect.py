@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import ComponentDefinition, ComponentSystem, WorkStealingScheduler, handles
-from repro.network import Address, Message, Network, TcpNetwork
+from repro.network import Address, AioTcpNetwork, Message, Network
 
 from tests.kit import Scaffold, wait_until
 
@@ -39,7 +39,7 @@ def _pair():
     def build(scaffold):
         nets = {}
         for name in ("a", "b"):
-            net = scaffold.create(TcpNetwork, Address("127.0.0.1", 0))
+            net = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0))
             peer = scaffold.create(Peer, net.definition.address)
             scaffold.connect(net.provided(Network), peer.required(Network))
             built[name] = peer.definition
@@ -63,20 +63,13 @@ def _send_until_received(sender, receiver, n, timeout=10.0):
     return n in receiver.inbox
 
 
-def _kill_connections(net) -> None:
-    with net._lock:
-        connections = list(net._connections.values())
-    for connection in connections:
-        connection.close()
-
-
 def test_messages_flow_again_after_connection_breaks():
     system, built = _pair()
     a, b = built["a"], built["b"]
     a.send(b.address, 1)
     assert wait_until(lambda: b.inbox == [1], timeout=10)
 
-    _kill_connections(built["nets"]["a"])
+    built["nets"]["a"]._drop_connections()
     # Subsequent traffic dials a fresh connection.
     assert _send_until_received(a, b, 2)
     system.shutdown()
@@ -90,7 +83,7 @@ def test_bidirectional_traffic_after_reconnect():
     b.send(a.address, 10)
     assert wait_until(lambda: a.inbox == [10], timeout=10)
 
-    _kill_connections(built["nets"]["b"])
+    built["nets"]["b"]._drop_connections()
     assert _send_until_received(b, a, 11)
     assert _send_until_received(a, b, 2)
     system.shutdown()
