@@ -22,10 +22,11 @@ simulation (§3) — with three coordinated tools:
    schedule, and emit a replay file that re-executes it exactly.
 
 Command line: ``python -m repro.analysis race <scenario>`` with
-``--determinism``, ``--explore N`` and ``--replay FILE`` modes.  All
-runtime hooks are off by default and None-checked, exactly like the
-sanitizer: production dispatch cost is unchanged
-(``benchmarks/bench_race_overhead.py``).
+``--determinism``, ``--explore N`` and ``--replay FILE`` modes.  The
+tracker attaches to the runtime's one observer seam
+(:mod:`repro.core.observe`), beside the sanitizer and the simulation
+profiler if they are on; with nothing attached the seam is one None
+test per hook site (``benchmarks/bench_observer_overhead.py``).
 """
 
 from .determinism import DeterminismReport, check_determinism, compare_traces

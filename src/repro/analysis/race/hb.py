@@ -86,10 +86,11 @@ class Epoch:
 class HBTracker:
     """Maintains the happens-before order for one analysis run.
 
-    Not installed anywhere by itself — :class:`~repro.analysis.race.hooks.
-    RaceRuntime` wires its methods into the runtime's ``None``-checked
-    hook points.  All state is behind one re-entrant lock so the tracker
-    is usable under the work-stealing scheduler as well as the simulator.
+    Not attached anywhere by itself — :class:`~repro.analysis.race.hooks.
+    RaceRuntime` attaches to the :mod:`repro.core.observe` seam and calls
+    these methods from its hooks.  All state is behind one re-entrant lock
+    so the tracker is usable under the work-stealing scheduler as well as
+    the simulator.
     """
 
     def __init__(self, keep_epochs: bool = False) -> None:
@@ -204,14 +205,15 @@ class HBTracker:
         self._stack().append((ctx, epoch))
         return epoch
 
-    def end_execution(self, core: "ComponentCore", item: "WorkItem") -> None:
+    def end_execution(self, *_where: object) -> None:
+        """Leave the innermost handler execution or timed dispatch."""
         stack = self._stack()
         if stack:
             stack.pop()
 
-    def run_entry(self, entry: "ScheduledEntry") -> None:
-        """``Simulation.run`` hook: execute a timed dispatch in a fresh
-        context seeded from its schedule-time stamp.
+    def fire_begin(self, entry: "ScheduledEntry") -> None:
+        """``Simulation.run`` hook: a timed dispatch runs in a fresh context
+        seeded from its schedule-time stamp, until :meth:`end_execution`.
 
         A fresh context (not the loop thread's) means consecutive timed
         dispatches are concurrent unless a real edge orders them — the
@@ -228,12 +230,7 @@ class HBTracker:
                 ctx.clock.join(self._thread_context().clock)
             ctx.clock.tick(ctx.index)
             epoch = self._new_epoch(ctx, ctx.name, action)
-        stack = self._stack()
-        stack.append((ctx, epoch))
-        try:
-            entry.action()
-        finally:
-            stack.pop()
+        self._stack().append((ctx, epoch))
 
     # --------------------------------------------------- reconfiguration ops
 

@@ -1,10 +1,10 @@
-"""RaceRuntime: installs HB tracking into the runtime's hook points.
+"""RaceRuntime: happens-before tracking attached to the observer seam.
 
-Mirrors the sanitizer's activation contract exactly: every hook site in
-the core runtime is a module-level name that is ``None`` by default and
-checked before use, so production dispatch pays one pointer test per
-site and nothing else (``benchmarks/bench_race_overhead.py`` keeps this
-honest).  Only one runtime can be installed at a time.
+``install()`` attaches a :class:`RaceRuntime` to :mod:`repro.core.observe`,
+beside any profiler or sanitizer.  With tracking off the seam's slot is
+None and dispatch pays one test per hook site and nothing else
+(``benchmarks/bench_observer_overhead.py``).  One race runtime can be
+installed at a time: the ``note_*`` helpers address it.
 
 Typical use::
 
@@ -30,12 +30,7 @@ import contextlib
 import threading
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from ...core import channel as _channel_mod
-from ...core import component as _component_mod
-from ...core import dispatch as _dispatch_mod
-from ...core import reconfig as _reconfig_mod
-from ...simulation import core as _sim_core_mod
-from ...simulation import event_queue as _event_queue_mod
+from ...core import observe
 from ..findings import Finding
 from .hb import HBTracker
 from .recorder import AccessRecorder
@@ -47,34 +42,37 @@ _install_lock = threading.Lock()
 _active: Optional["RaceRuntime"] = None
 
 
-class RaceRuntime:
-    """One race-analysis session: tracker + recorder + hook plumbing."""
+class RaceRuntime(observe.Observer):
+    """One race-analysis session: tracker + recorder, as a seam observer."""
 
     def __init__(self, keep_epochs: bool = False, capture_stacks: bool = True) -> None:
         self.tracker = HBTracker(keep_epochs=keep_epochs)
         self.recorder = AccessRecorder(self.tracker, capture_stacks=capture_stacks)
-        self._tls = threading.local()
-        self.installed = False
+        # Open executions: one per component at a time (handler mutual
+        # exclusion), each with its epoch and the recorder's snapshot.
+        self._open: dict["ComponentCore", tuple] = {}
+        # The hooks the tracker answers alone, bound under the seam's names.
+        tracker = self.tracker
+        self.channel_op = tracker.channel_op
+        self.transferred = tracker.state_transfer
+        self.scheduled = tracker.stamp_entry
+        self.fire_begin = tracker.fire_begin
+        self.fire_end = tracker.end_execution
 
-    # ------------------------------------------------------- hook callbacks
+    # -------------------------------------------------------- observer hooks
 
-    def on_trigger(self, event: object) -> None:
+    def triggered(self, event: object) -> None:
         self.tracker.stamp_event(event)
         self.recorder.register_event(event)
 
     def begin(self, core: "ComponentCore", item: "WorkItem") -> None:
         epoch = self.tracker.begin_execution(core, item)
-        snapshot = self.recorder.begin(core, item)
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        stack.append((epoch, snapshot))
+        self._open[core] = (epoch, self.recorder.begin(core, item))
 
     def end(self, core: "ComponentCore", item: "WorkItem") -> None:
-        stack = getattr(self._tls, "stack", None)
-        if stack:
-            epoch, snapshot = stack.pop()
-            self.recorder.end(core, item, epoch, snapshot)
+        opened = self._open.pop(core, None)
+        if opened is not None:
+            self.recorder.end(core, item, *opened)
         self.tracker.end_execution(core, item)
 
     # --------------------------------------------------------- installation
@@ -82,33 +80,19 @@ class RaceRuntime:
     def install(self) -> None:
         global _active
         with _install_lock:
-            if self.installed:
+            if _active is self:
                 return
             if _active is not None:
                 raise RuntimeError("another RaceRuntime is already installed")
             _active = self
-            self.installed = True
-            _dispatch_mod._race_stamp = self.on_trigger
-            _component_mod._race_observer = self
-            _channel_mod._race_channel = self.tracker.channel_op
-            _reconfig_mod._race_transfer = self.tracker.state_transfer
-            _event_queue_mod._race_stamp_entry = self.tracker.stamp_entry
-            _sim_core_mod._race_dispatch_entry = self.tracker.run_entry
+            observe.attach(self)
 
     def uninstall(self) -> None:
         global _active
         with _install_lock:
-            if not self.installed:
-                return
-            self.installed = False
             if _active is self:
                 _active = None
-            _dispatch_mod._race_stamp = None
-            _component_mod._race_observer = None
-            _channel_mod._race_channel = None
-            _reconfig_mod._race_transfer = None
-            _event_queue_mod._race_stamp_entry = None
-            _sim_core_mod._race_dispatch_entry = None
+                observe.detach(self)
 
     # -------------------------------------------------------------- results
 

@@ -110,7 +110,9 @@ class AccessRecorder:
         """Auto-track the mutable payload attributes of a triggered event.
 
         Payload identity is what matters: the same list inside two events
-        (or fanned out to two subscribers) is one shared object.
+        (or fanned out to two subscribers) is one shared object.  Only an
+        event with payloads is remembered, and it is kept alive so its id
+        is not reused; one without is walked again when re-triggered.
         """
         key = id(event)
         if key in self._event_payloads:
@@ -133,8 +135,8 @@ class AccessRecorder:
                 for name, obj in self._walk_payload(f"{type_name}.{attr}", value):
                     payloads.append((name, obj))
                     self._state_for(obj, name)
-        self._event_payloads[key] = tuple(payloads)
         if payloads:
+            self._event_payloads[key] = tuple(payloads)
             self._refs[key] = event  # keep the id stable while tracked
 
     @staticmethod

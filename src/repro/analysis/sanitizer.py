@@ -18,9 +18,11 @@ handlers are already running (same thread: illegal recursion into the
 execution machinery; different thread: a scheduler-bypass race) raises
 :class:`~repro.core.errors.ReentrancyError`.
 
-Everything is installed as hooks that are ``None`` on the default path —
-disabling the sanitizer removes all cost (measured in
-``benchmarks/bench_sanitizer_overhead.py``).
+The sanitizer is an observer on the :mod:`repro.core.observe` seam, plus
+an ``Event`` mutation guard that exists only while it is on — disabling
+it removes all cost (``benchmarks/bench_observer_overhead.py`` checks the
+seam is empty and measures the on/off round trip).  It composes with
+race tracking and the simulation profiler.
 """
 
 from __future__ import annotations
@@ -31,27 +33,40 @@ import weakref
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from ..core import component as component_mod
-from ..core import dispatch as dispatch_mod
 from ..core import event as event_mod
+from ..core import observe
 from ..core.errors import EventMutationError, ReentrancyError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..core.component import ComponentCore
+    from ..core.component import ComponentCore, WorkItem
     from ..core.event import Event
 
 _ENV_FLAG = "REPRO_SANITIZE"
 
 
-class _ExecutionMonitor:
-    """Tracks which thread is executing each component's handlers."""
+class _ExecutionMonitor(observe.Observer):
+    """Seals triggered events and tracks which thread is executing each
+    component's handlers."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._active: dict[int, tuple[str, str]] = {}  # id(core) -> (name, thread)
-        self._local = threading.local()
+        self.sealed_ids: set[int] = set()
+        self.refcount = 0
 
-    def enter(self, core: "ComponentCore") -> None:
+    def triggered(self, event: "Event") -> None:
+        """Mark ``event`` as shared: any later mutation is S001."""
+        key = id(event)
+        if key in self.sealed_ids:
+            return
+        self.sealed_ids.add(key)
+        try:
+            # Drop the id when the event dies so ids can be reused safely.
+            weakref.finalize(event, self.sealed_ids.discard, key)
+        except TypeError:  # pragma: no cover - all Events are weakref-able
+            pass
+
+    def begin(self, core: "ComponentCore", item: "WorkItem") -> None:
         me = threading.current_thread().name
         with self._lock:
             previous = self._active.get(id(core))
@@ -69,34 +84,25 @@ class _ExecutionMonitor:
                     f"mutual-exclusion guarantee was bypassed"
                 )
             self._active[id(core)] = (core.name, me)
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append(core.name)
 
-    def exit(self, core: "ComponentCore") -> None:
+    def end(self, core: "ComponentCore", item: "WorkItem") -> None:
         me = threading.current_thread().name
         with self._lock:
             entry = self._active.get(id(core))
             if entry is not None and entry[1] == me:
                 del self._active[id(core)]
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            stack.pop()
 
     def current_component(self) -> Optional[str]:
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
+        """The innermost component executing on this thread, if any."""
+        me = threading.current_thread().name
+        with self._lock:
+            for name, thread in reversed(self._active.values()):
+                if thread == me:
+                    return name
+        return None
 
 
-class _SanitizerState:
-    def __init__(self) -> None:
-        self.sealed_ids: set[int] = set()
-        self.monitor = _ExecutionMonitor()
-        self.refcount = 0
-
-
-_state: Optional[_SanitizerState] = None
+_state: Optional[_ExecutionMonitor] = None
 _state_lock = threading.Lock()
 
 
@@ -109,23 +115,21 @@ def enable() -> None:
     global _state
     with _state_lock:
         if _state is None:
-            _state = _SanitizerState()
-            dispatch_mod._sanitizer_seal = _seal
-            component_mod._sanitizer_monitor = _state.monitor
+            _state = _ExecutionMonitor()
+            observe.attach(_state)
             event_mod._install_mutation_guard(_check_mutation)
         _state.refcount += 1
 
 
 def disable() -> None:
-    """Undo one enable(); the last disable removes every hook."""
+    """Undo one enable(); the last disable detaches the sanitizer."""
     global _state
     with _state_lock:
         if _state is None:
             return
         _state.refcount -= 1
         if _state.refcount <= 0:
-            dispatch_mod._sanitizer_seal = None
-            component_mod._sanitizer_monitor = None
+            observe.detach(_state)
             event_mod._remove_mutation_guard()
             _state = None
 
@@ -152,23 +156,7 @@ def activate_from_env() -> bool:
     return False
 
 
-# ----------------------------------------------------------------- hooks
-
-
-def _seal(event: "Event") -> None:
-    """Mark ``event`` as shared (dispatch hook, called from trigger)."""
-    state = _state
-    if state is None:
-        return
-    key = id(event)
-    if key in state.sealed_ids:
-        return
-    state.sealed_ids.add(key)
-    try:
-        # Drop the id when the event dies so ids can be reused safely.
-        weakref.finalize(event, state.sealed_ids.discard, key)
-    except TypeError:  # pragma: no cover - all Events are weakref-able
-        pass
+# --------------------------------------------------------- mutation guard
 
 
 def _check_mutation(event: "Event", name: str, op: str) -> None:
@@ -176,7 +164,7 @@ def _check_mutation(event: "Event", name: str, op: str) -> None:
     state = _state
     if state is None or id(event) not in state.sealed_ids:
         return
-    where = state.monitor.current_component()
+    where = state.current_component()
     context = f" in a handler of {where}" if where else ""
     raise EventMutationError(
         f"[S001] attribute {name!r} of {event!r} {op} after the event was "

@@ -28,20 +28,12 @@ import threading
 from collections import deque
 from typing import Callable, Optional
 
-from . import routing
+from . import observe, routing
 from .errors import ConnectionError as KConnectionError
 from .event import Direction, Event
 from .port import PortFace, check_faces_connectable
 
 Selector = Callable[[Event], bool]
-
-#: Reconfiguration-command hook, installed by :mod:`repro.analysis.race`
-#: while race tracking is active and None otherwise.  Called as
-#: ``hook(op, channel, events)`` where ``op`` is one of ``"hold"``,
-#: ``"resume"``, ``"release"``, ``"unplug"``, ``"plug"`` and ``events`` is
-#: the tuple of queued events affected by the command — the tracker turns
-#: these into happens-before edges (e.g. resume-caller → flushed delivery).
-_race_channel = None
 
 
 class Channel:
@@ -133,16 +125,16 @@ class Channel:
         """
         with self._lock:
             self.held = True
-            hook = _race_channel
-            if hook is not None:
-                hook("hold", self, ())
+            obs = observe.observer
+            if obs is not None:
+                obs.channel_op("hold", self, ())
         self._invalidate()
 
     def resume(self) -> None:
         """Flush queued events in order, then resume normal forwarding."""
-        hook = _race_channel
-        if hook is not None:
-            hook("resume", self, ())
+        obs = observe.observer
+        if obs is not None:
+            obs.channel_op("resume", self, ())
         while True:
             with self._lock:
                 if not self._queue:
@@ -162,8 +154,8 @@ class Channel:
                 with self._lock:
                     self._queue.appendleft((event, direction))
                     return
-            if hook is not None:
-                hook("release", self, (event,))
+            if obs is not None:
+                obs.channel_op("release", self, (event,))
             routing.execute(destination, event, direction)
 
     def unplug(self, face: PortFace) -> None:
@@ -177,9 +169,9 @@ class Channel:
                 raise KConnectionError(f"{face!r} is not an end of this channel")
             if self in face.channels:
                 face.channels.remove(self)
-            hook = _race_channel
-            if hook is not None:
-                hook("unplug", self, ())
+            obs = observe.observer
+            if obs is not None:
+                obs.channel_op("unplug", self, ())
         self._invalidate(detached=face)
 
     def plug(self, face: PortFace) -> None:
@@ -199,9 +191,9 @@ class Channel:
                     raise KConnectionError("negative end of channel is already plugged")
                 self.negative_end = face
             face.attach_channel(self)
-            hook = _race_channel
-            if hook is not None:
-                hook(
+            obs = observe.observer
+            if obs is not None:
+                obs.channel_op(
                     "plug",
                     self,
                     tuple(event for event, _ in (self._queue or ())),

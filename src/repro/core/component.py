@@ -24,7 +24,7 @@ import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional, TypeVar
 
 from . import channel as channel_mod
-from . import dispatch, routing
+from . import dispatch, observe, routing
 from .errors import ConfigurationError, LifecycleError, SanitizerError
 from .event import Event
 from .fault import Fault, escalate
@@ -39,18 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # Stack of cores under construction; create() nests, so this is a stack.
 _construction = threading.local()
-
-#: Execution monitor, installed by :mod:`repro.analysis.sanitizer` while
-#: sanitize mode is active and None otherwise.  It tags handler execution
-#: with its worker thread and raises ReentrancyError when the handler
-#: mutual-exclusion guarantee is bypassed.
-_sanitizer_monitor = None
-
-#: Execution observer, installed by :mod:`repro.analysis.race` while race
-#: tracking is active and None otherwise.  ``begin``/``end`` bracket every
-#: executed work item so the tracker can maintain per-component vector
-#: clocks and the access recorder can attribute object accesses to epochs.
-_race_observer = None
 
 
 def _construction_stack() -> list["ComponentCore"]:
@@ -580,8 +568,8 @@ class ComponentCore:
         state = self.state
         if queue and state is not _DESTROYED and state is not _FAULTY:
             item = self._popleft()
-            if self.system.tracer is not None or _race_observer is not None:
-                self._execute_item(item)  # instrumented path (trace/race)
+            if self.system.tracer is not None or observe.observer is not None:
+                self._execute_item(item)  # instrumented path (tracer/observers)
             else:
                 if isinstance(item.event, _LIFECYCLE):
                     self._dispatch_item(item)
@@ -602,13 +590,13 @@ class ComponentCore:
             tracer.record(
                 self.system.clock.now(), self.name, type(event).__name__
             )
-        observer = _race_observer
-        if observer is not None:
-            observer.begin(self, item)
+        obs = observe.observer
+        if obs is not None:
+            obs.begin(self, item)
             try:
                 self._dispatch_item(item)
             finally:
-                observer.end(self, item)
+                obs.end(self, item)
             return
         self._dispatch_item(item)
 
@@ -647,30 +635,23 @@ class ComponentCore:
         return handlers
 
     def _run_handlers(self, item: WorkItem) -> None:
-        monitor = _sanitizer_monitor
-        if monitor is not None:
-            monitor.enter(self)  # raises ReentrancyError on violation
-        try:
-            # _match_handlers cache hit, inlined (one call frame per
-            # executed event); misses fall through to the matching path.
-            face = item.face
-            if face is not None and (cache := face._handlers) is not None:
-                handlers = cache.get((self, type(item.event)))
-                if handlers is None:
-                    handlers = self._match_handlers(item)
-            else:
+        # _match_handlers cache hit, inlined (one call frame per executed
+        # event); misses fall through to the matching path.
+        face = item.face
+        if face is not None and (cache := face._handlers) is not None:
+            handlers = cache.get((self, type(item.event)))
+            if handlers is None:
                 handlers = self._match_handlers(item)
-            for handler in handlers:
-                try:
-                    handler(item.event)
-                except SanitizerError:
-                    raise  # sanitizer violations surface immediately, unwrapped
-                except Exception as exc:  # noqa: BLE001 - fault isolation boundary
-                    self._fault(exc, item.event)
-                    return
-        finally:
-            if monitor is not None:
-                monitor.exit(self)
+        else:
+            handlers = self._match_handlers(item)
+        for handler in handlers:
+            try:
+                handler(item.event)
+            except SanitizerError:
+                raise  # sanitizer violations surface immediately, unwrapped
+            except Exception as exc:  # noqa: BLE001 - fault isolation boundary
+                self._fault(exc, item.event)
+                return
 
     def _fault(self, exc: BaseException, event: Event) -> None:
         """Wrap an uncaught handler exception per paper section 2.5."""

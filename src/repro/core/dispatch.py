@@ -34,24 +34,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from . import routing
+from . import observe, routing
 from .errors import PortTypeError
 from .event import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .port import PortFace
-
-#: Event-sealing hook, installed by :mod:`repro.analysis.sanitizer` while
-#: sanitize mode is active and None otherwise (the None check is the only
-#: cost on the default path).  Sealing marks an event as shared: any later
-#: mutation raises EventMutationError.
-_sanitizer_seal = None
-
-#: Happens-before stamping hook, installed by :mod:`repro.analysis.race`
-#: while race tracking is active and None otherwise.  Stamping attaches the
-#: triggering execution's vector clock to the event (the trigger→delivery
-#: edge of the happens-before model).
-_race_stamp = None
 
 
 def trigger(event: Event, face: "PortFace") -> None:
@@ -62,12 +50,9 @@ def trigger(event: Event, face: "PortFace") -> None:
     *outside* face is the parent pushing an event into the child (e.g.
     ``trigger(Start(), child.control())``).
     """
-    seal = _sanitizer_seal
-    if seal is not None:
-        seal(event)
-    stamp = _race_stamp
-    if stamp is not None:
-        stamp(event)
+    obs = observe.observer
+    if obs is not None:
+        obs.triggered(event)  # sanitizer sealing, race stamping
     # Fast path: a hit on the bare class in the face's plan table means
     # this exact event class already passed the port-type check for this
     # face's trigger direction and has a compiled plan that no

@@ -20,18 +20,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Protocol, runtime_checkable
 
-from . import dispatch
+from . import dispatch, observe
 from .channel import Channel
 from .component import Component, ComponentDefinition
 from .errors import ConfigurationError
 from .lifecycle import Init, Start, Stop
-
-#: Reconfiguration state-transfer hook, installed by
-#: :mod:`repro.analysis.race` while race tracking is active and None
-#: otherwise.  Called as ``hook(old_core, new_core)`` once the replacement
-#: component exists: everything the old component did happens-before
-#: everything the new one will do.
-_race_transfer = None
 
 
 @runtime_checkable
@@ -100,9 +93,9 @@ def replace_component(
         new.core.receive_event(item.event, port.inside if face.is_inside else port.outside)
 
     # 4. Transfer state, activate, resume traffic, destroy the old instance.
-    hook = _race_transfer
-    if hook is not None:
-        hook(old_core, new.core)
+    obs = observe.observer
+    if obs is not None:
+        obs.transferred(old_core, new.core)
     if state is not None:
         if state_transfer is not None:
             state_transfer(state, new.definition)

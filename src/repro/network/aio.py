@@ -46,9 +46,9 @@ wire.  Execution model:
 - **connection pool**: connections are dialed non-blocking with
   exponential reconnect backoff, reused in both directions via the
   hello handshake, and reaped after ``idle_timeout`` of silence;
-- **bounded outbox**: each peer's queue has a high-water mark with a
-  drop-oldest (default) or block overflow policy; drops are counted and
-  surfaced over the ``Status`` port;
+- **bounded outbox**: each peer's queue has a high-water mark
+  (``outbound_limit``); past it the oldest queued frame is dropped, and
+  drops are counted and surfaced over the ``Status`` port;
 - **containment**: an unexpected exception in a selector callback or in
   a direct write sheds that one connection and is counted
   (``loop_errors``); the loop and every other connection live on.
@@ -93,6 +93,10 @@ _IOV_CAP = 512
 #: Messages folded into one batch frame; 2 segments each plus the batch
 #: header keeps a full batch within _IOV_CAP.
 _MAX_BATCH = 128
+#: Redial backoff: doubles per failure from _BACKOFF_BASE up to _BACKOFF_MAX
+#: seconds; a connection that lived _BACKOFF_MAX seconds restarts it.
+_BACKOFF_BASE = 0.05
+_BACKOFF_MAX = 2.0
 _RECV_BUFFER = 256 * 1024
 #: "No timer pending": the loop then sleeps until a socket or the self-pipe wakes it.
 _NEVER = float("inf")
@@ -167,28 +171,16 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         codec: Optional[FrameCodec] = None,
         connect_timeout: float = 5.0,
         outbound_limit: int = 8192,
-        overflow: str = "drop_oldest",
-        block_timeout: float = 5.0,
         idle_timeout: Optional[float] = 120.0,
-        max_batch: int = _MAX_BATCH,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
     ) -> None:
         super().__init__()
-        if overflow not in ("drop_oldest", "block"):
-            raise ValueError(f"unknown overflow policy {overflow!r}")
         self.address = address
         self.port = self.provides(Network)
         self.status = self.provides(Status)
         self.codec = codec if codec is not None else FrameCodec(adaptive=True)
         self.connect_timeout = connect_timeout
         self.outbound_limit = outbound_limit
-        self.overflow = overflow
-        self.block_timeout = block_timeout
         self.idle_timeout = idle_timeout
-        self.max_batch = min(max_batch, _MAX_BATCH)
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
 
         # Counters.  Every connection has its own writer (the holder of
         # its write_lock, a handler thread or the loop), so whatever more
@@ -214,7 +206,6 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         # Endpoint state is process-local (see the class comment): the
         # lock, sockets and loop thread never cross a shard boundary.
         self._lock = threading.Lock()  # repro: noqa[D004]
-        self._space = threading.Condition(self._lock)  # repro: noqa[D004]
         self._closing = False
 
         self._selector = selectors.DefaultSelector()  # repro: noqa[D004]
@@ -288,27 +279,8 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                 # the table tracks live correspondents, not history.
                 peer = self._peers[key] = _Peer(key)  # repro: noqa[M002]
             if len(peer.outbox) >= self.outbound_limit:
-                if self.overflow == "drop_oldest":
-                    peer.outbox.popleft()
-                    self.dropped_frames += 1
-                else:
-                    deadline = time.monotonic() + self.block_timeout
-                    while (
-                        len(peer.outbox) >= self.outbound_limit
-                        and not self._closing
-                    ):
-                        remaining = deadline - time.monotonic()
-                        # Backpressure is the entire point of the "block"
-                        # overflow policy: the sender opted into stalling
-                        # its worker (bounded by block_timeout) rather
-                        # than shedding frames.
-                        if remaining <= 0 or not self._space.wait(  # repro: noqa[P005]
-                            remaining
-                        ):
-                            # Stalled peer: shedding the newest frame here
-                            # beats wedging a scheduler worker forever.
-                            self.dropped_frames += 1
-                            return
+                peer.outbox.popleft()
+                self.dropped_frames += 1
             peer.outbox.append(part)
             self.sent += 1
             conn = peer.conn
@@ -529,7 +501,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
     def _dial_failed(self, peer: _Peer) -> None:
         peer.conn = None
         peer.backoff = min(
-            self.backoff_max, peer.backoff * 2 or self.backoff_base
+            _BACKOFF_MAX, peer.backoff * 2 or _BACKOFF_BASE
         )
         peer.next_dial_at = time.monotonic() + peer.backoff
         self._pull_deadline(peer.next_dial_at)
@@ -545,7 +517,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             return
         conn.established_at = time.monotonic()
         # peer.backoff is deliberately NOT reset here: a peer that accepts
-        # and immediately resets would otherwise be redialed at backoff_base
+        # and immediately resets would otherwise be redialed at _BACKOFF_BASE
         # forever.  _connection_broke resets the ladder only once the
         # connection has proven stable.
         with conn.write_lock:
@@ -611,7 +583,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                 body = 0
                 with self._lock:
                     outbox = peer.outbox
-                    while outbox and len(parts) < self.max_batch:
+                    while outbox and len(parts) < _MAX_BATCH:
                         size = FRAME_OVERHEAD + len(outbox[0][1])
                         if parts and body + size > budget:
                             break
@@ -619,8 +591,6 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                         body += size
                     self.batches += 1
                     self.batched_messages += len(parts)
-                    if self.overflow == "block":
-                        self._space.notify_all()
                 try:
                     _total, buffers = self.codec.batch_buffers(parts)
                 except Exception as exc:
@@ -821,7 +791,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             return  # already shed (a posted break can arrive after the loop's own)
         peer = conn.peer
         now = time.monotonic()
-        stable = now - conn.established_at >= self.backoff_max
+        stable = now - conn.established_at >= _BACKOFF_MAX
         self._close_conn(conn)
         if peer is not None and peer.outbox and not self._closing:
             # Queued-but-unflushed frames survive the break; redial after
@@ -833,7 +803,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                 # was genuinely healthy: restart the ladder from the base.
                 peer.backoff = 0.0
             peer.backoff = min(
-                self.backoff_max, peer.backoff * 2 or self.backoff_base
+                _BACKOFF_MAX, peer.backoff * 2 or _BACKOFF_BASE
             )
             peer.next_dial_at = now + peer.backoff
             self._maybe_dial(peer)
@@ -898,7 +868,6 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
     def tear_down(self) -> None:
         with self._lock:
             self._closing = True
-            self._space.notify_all()
         self._wake()
         self._loop.join(timeout=2.0)
         if self._loop.is_alive():

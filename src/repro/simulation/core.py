@@ -26,6 +26,7 @@ from __future__ import annotations
 from math import inf
 from typing import Callable, Optional
 
+from ..core import observe
 from ..core.errors import SimulationError
 from ..runtime.clock import VirtualClock
 from ..runtime.scheduler import ManualScheduler
@@ -33,14 +34,6 @@ from ..runtime.system import ComponentSystem
 from .event_queue import make_event_queue
 
 QUEUE_SERVICE = "simulation_event_queue"
-
-#: Timed-dispatch hook, installed by :mod:`repro.analysis.race` while race
-#: tracking is active and None otherwise.  When set, each popped queue
-#: entry is executed through ``hook(entry)`` so its action runs in a fresh
-#: logical context seeded from the entry's schedule-time vector clock —
-#: consecutive timed dispatches are *not* ordered with each other (the
-#: loop's serialization is an artifact), only with their schedulers.
-_race_dispatch_entry = None
 
 
 class Simulation:
@@ -139,11 +132,15 @@ class Simulation:
                         entry = batch.pop(picker(batch) if len(batch) > 1 else 0)
                         index, size = 0, len(batch)
                     dispatched += 1
-                    hook = _race_dispatch_entry
-                    if hook is None:
+                    obs = observe.observer
+                    if obs is None:
                         entry.action()
                     else:
-                        hook(entry)
+                        obs.fire_begin(entry)
+                        try:
+                            entry.action()
+                        finally:
+                            obs.fire_end(entry)
                     drain()
                     if self._stop_requested:
                         self._pending_batch = batch[index:]

@@ -13,12 +13,12 @@ unlinks in O(1); ``__len__``/``__bool__`` read a live-entry counter; and
 operation.
 
 Two opt-in hooks support the concurrency analysis in
-:mod:`repro.analysis.race` (both None/unset by default, costing one
-is-None test):
+:mod:`repro.analysis.race` (both None by default, costing one is-None
+test):
 
-- the module-level ``_race_stamp_entry`` hook attaches the scheduling
-  execution's vector clock to each new entry (the schedule→fire
-  happens-before edge);
+- every (re)scheduled entry goes to the :mod:`repro.core.observe` seam,
+  where the race tracker stamps it with the scheduling execution's
+  vector clock (the schedule→fire happens-before edge);
 - the per-queue ``picker`` attribute lets a schedule explorer choose
   *which* of several same-timestamp entries fires next — insertion order
   among equal timestamps is an artifact of the implementation, and
@@ -30,12 +30,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional, Sequence
 
+from ..core import observe
 from .wheel import TimerWheel
-
-#: Entry-stamping hook, installed by :mod:`repro.analysis.race` while race
-#: tracking is active and None otherwise.  Called as ``hook(entry)`` right
-#: after an entry is scheduled.
-_race_stamp_entry = None
 
 
 class ScheduledEntry:
@@ -102,9 +98,9 @@ class EventQueue:
     def schedule(self, at: float, action: Callable[[], None]) -> ScheduledEntry:
         """Schedule ``action`` at absolute virtual time ``at``."""
         entry = ScheduledEntry(at, next(self._sequence), action)
-        stamp = _race_stamp_entry
-        if stamp is not None:
-            stamp(entry)
+        obs = observe.observer
+        if obs is not None:
+            obs.scheduled(entry)
         # _append, inlined: this is the busiest write path in simulation.
         bucket = self._buckets.get(at)
         if bucket is None:
@@ -132,9 +128,9 @@ class EventQueue:
         entry.sequence = next(self._sequence)
         entry.cancelled = False
         entry.stamp = None
-        stamp = _race_stamp_entry
-        if stamp is not None:
-            stamp(entry)
+        obs = observe.observer
+        if obs is not None:
+            obs.scheduled(entry)
         self._append(entry)
         return entry
 
@@ -206,9 +202,6 @@ class EventQueue:
         return time, batch
 
     # ------------------------------------------------------------- inspection
-
-    def peek_time(self) -> Optional[float]:
-        return self._wheel.peek()
 
     def __len__(self) -> int:
         return self._live

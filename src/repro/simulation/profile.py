@@ -1,11 +1,11 @@
 """Hot-path profiling for the deterministic simulator.
 
 ``Simulation.profile()`` answers "where do simulated seconds go?" without
-an external profiler: it hooks the component execution observer seam (the
-same one race tracking uses) and attributes wall time per component
-*definition* and per *event type*, plus the share spent inside the timed
-dispatch machinery itself.  Zero cost when not installed — the observer
-global is None on the default path.
+an external profiler: it attaches to the :mod:`repro.core.observe` seam
+(beside race tracking or the sanitizer, if they are on) and attributes
+wall time per component *definition* and per *event type*, plus the share
+spent inside the timed dispatch machinery itself.  Zero cost when not
+attached — the seam's slot is None on the default path.
 
 Usage::
 
@@ -19,39 +19,32 @@ Usage::
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
-from ..core import component as _component_mod
+from ..core import observe
 
 if TYPE_CHECKING:  # pragma: no cover
     from .core import Simulation
 
 
-class SimulationProfiler:
+class SimulationProfiler(observe.Observer):
     """Collects per-definition / per-event-type execution time.
 
-    Installs itself as the component execution observer on construction;
-    ``uninstall()`` (or leaving the ``with`` block) detaches it.  Mutually
-    exclusive with race tracking, which owns the same seam.
+    Attaches itself to the observer seam on construction; ``uninstall()``
+    (or leaving the ``with`` block) detaches it.
     """
 
     def __init__(self, simulation: "Simulation") -> None:
-        if _component_mod._race_observer is not None:
-            raise RuntimeError(
-                "the component execution observer is already installed "
-                "(race tracking and profiling are mutually exclusive)"
-            )
         self.simulation = simulation
         self.by_definition: dict[str, list] = {}  # name -> [seconds, count]
         self.by_event_type: dict[str, list] = {}
         self._t0 = 0.0
         self._wall_start = perf_counter()
-        self._wall = 0.0
+        self._wall: Optional[float] = None  # set when the profiler detaches
         self._events_start = simulation.events_dispatched
         system = simulation.system
         self._plans_start = (system.plans_compiled, system.plans_invalidated)
-        self._installed = True
-        _component_mod._race_observer = self
+        observe.attach(self)
 
     # ---------------------------------------------------- observer protocol
 
@@ -76,10 +69,9 @@ class SimulationProfiler:
     # -------------------------------------------------------------- control
 
     def uninstall(self) -> None:
-        if self._installed:
-            self._installed = False
+        if self._wall is None:
             self._wall = perf_counter() - self._wall_start
-            _component_mod._race_observer = None
+            observe.detach(self)
 
     def __enter__(self) -> "SimulationProfiler":
         return self
@@ -91,7 +83,7 @@ class SimulationProfiler:
 
     @property
     def wall_seconds(self) -> float:
-        return self._wall if not self._installed else perf_counter() - self._wall_start
+        return self._wall if self._wall is not None else perf_counter() - self._wall_start
 
     @property
     def handler_seconds(self) -> float:

@@ -184,13 +184,6 @@ class TimerWheel:
             self._place(int(time * TICKS_PER_SECOND), time, far_map.pop(time))
         return True
 
-    def peek(self) -> Optional[float]:
-        """The earliest stored timestamp, or None."""
-        slot = self._front()
-        if slot < 0:
-            return None
-        return min(self._slots[0][slot])
-
     def pop(self, until: Optional[float] = None):
         """Remove and return ``(time, payload)`` for the earliest timestamp.
 

@@ -181,23 +181,8 @@ def test_reconfig_state_transfer_edge():
 
 
 def test_uninstall_clears_every_hook():
-    from repro.core import channel as channel_mod
-    from repro.core import component as component_mod
-    from repro.core import dispatch as dispatch_mod
-    from repro.core import reconfig as reconfig_mod
-    from repro.simulation import core as sim_core_mod
-    from repro.simulation import event_queue as event_queue_mod
+    from repro.core import observe
 
-    with race_tracking():
-        assert dispatch_mod._race_stamp is not None
-        assert component_mod._race_observer is not None
-        assert channel_mod._race_channel is not None
-        assert reconfig_mod._race_transfer is not None
-        assert event_queue_mod._race_stamp_entry is not None
-        assert sim_core_mod._race_dispatch_entry is not None
-    assert dispatch_mod._race_stamp is None
-    assert component_mod._race_observer is None
-    assert channel_mod._race_channel is None
-    assert reconfig_mod._race_transfer is None
-    assert event_queue_mod._race_stamp_entry is None
-    assert sim_core_mod._race_dispatch_entry is None
+    with race_tracking() as rt:
+        assert observe.observer is rt
+    assert observe.observer is None

@@ -168,7 +168,7 @@ class Reentrant(ComponentDefinition):
 
     @handles(Note)
     def on_note(self, event: Note) -> None:
-        self.core._run_handlers(WorkItem(event, None, (), False))
+        self.core._execute_item(WorkItem(event, None, (), False))
 
 
 def test_s002_reentrant_handler_execution_is_caught():
@@ -227,7 +227,7 @@ def test_s002_concurrent_execution_from_second_thread_is_caught():
         # A second thread invading the same component's execution is the
         # scheduler-bypass race the monitor exists to catch.
         with pytest.raises(ReentrancyError) as err:
-            core._run_handlers(WorkItem(Note("b"), None, (), False))
+            core._execute_item(WorkItem(Note("b"), None, (), False))
         definition.release.set()
         worker.join(timeout=5)
     assert "two threads" in str(err.value) or "concurrently" in str(err.value)

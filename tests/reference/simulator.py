@@ -16,8 +16,7 @@ import heapq
 import itertools
 from typing import Callable, Optional, Sequence
 
-from repro.simulation import core as sim_core
-from repro.simulation import event_queue as eq_mod
+from repro.core import observe
 from repro.simulation.core import QUEUE_SERVICE, Simulation
 from repro.simulation.event_queue import ScheduledEntry
 
@@ -39,9 +38,9 @@ class HeapEventQueue:
 
     def schedule(self, at: float, action: Callable[[], None]) -> ScheduledEntry:
         entry = ScheduledEntry(at, next(self._sequence), action)
-        stamp = eq_mod._race_stamp_entry
-        if stamp is not None:
-            stamp(entry)
+        obs = observe.observer
+        if obs is not None:
+            obs.scheduled(entry)
         heapq.heappush(self._heap, (entry.time, entry.sequence, entry))
         self.scheduled_total += 1
         return entry
@@ -121,8 +120,12 @@ class ReferenceSimulation(Simulation):
             assert entry is not None
             self.clock.advance_to(entry.time)
             self.events_dispatched += 1
-            hook = sim_core._race_dispatch_entry
-            if hook is None:
+            obs = observe.observer
+            if obs is None:
                 entry.action()
             else:
-                hook(entry)
+                obs.fire_begin(entry)
+                try:
+                    entry.action()
+                finally:
+                    obs.fire_end(entry)

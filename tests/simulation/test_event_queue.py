@@ -2,7 +2,7 @@
 
 Pins O(1) live-entry ``len``/``bool``, immediate unlinking of cancelled
 entries, lazy bucket compaction, batched popping (``pop_batch``),
-allocation-free ``reschedule`` and the ``_race_stamp_entry`` analysis hook.
+allocation-free ``reschedule`` and the ``scheduled`` observer hook.
 (The ``picker`` hook is consulted by the run loop: see
 ``test_simulation_api.py``.)
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.simulation import event_queue as eq_mod
+from repro.core import observe
 from repro.simulation.event_queue import EventQueue, make_event_queue
 
 
@@ -158,15 +158,25 @@ def test_reschedule_rejects_queued_entries():
 # ------------------------------------------------------------- analysis hooks
 
 
-def test_race_stamp_hook_runs_on_schedule_and_reschedule(monkeypatch):
+def test_scheduled_hook_runs_on_schedule_and_reschedule():
     stamped = []
-    monkeypatch.setattr(eq_mod, "_race_stamp_entry", stamped.append)
-    queue = EventQueue()
-    entry = queue.schedule(1.0, nop)
-    assert stamped == [entry]
-    _, (popped,) = queue.pop_batch()
-    queue.reschedule(popped, 2.0)
-    assert len(stamped) == 2
+
+    class Stamper(observe.Observer):
+        def scheduled(self, entry):
+            stamped.append(entry)
+
+    stamper = Stamper()
+    observe.attach(stamper)
+    try:
+        queue = EventQueue()
+        entry = queue.schedule(1.0, nop)
+        assert stamped == [entry]
+        _, (popped,) = queue.pop_batch()
+        queue.reschedule(popped, 2.0)
+        assert len(stamped) == 2
+    finally:
+        observe.detach(stamper)
+    assert observe.observer is None
 
 
 # ------------------------------------------------------------------- counters

@@ -66,15 +66,6 @@ def test_pop_until_peeks_without_popping():
     assert wheel.pop(until=100.0) is None
 
 
-def test_peek_matches_pop():
-    wheel = TimerWheel()
-    for t in (3.5, 0.25, 7.125):
-        wheel.insert(t, Payload(t))
-    assert wheel.peek() == 0.25
-    assert wheel.pop()[0] == 0.25
-    assert wheel.peek() == 3.5
-
-
 def test_remove_unlinks_everywhere():
     wheel = TimerWheel()
     payloads = {}

@@ -225,28 +225,6 @@ def test_aio_drop_oldest_counts_dropped_frames():
     system.shutdown()
 
 
-def test_aio_block_policy_sheds_newest_after_timeout():
-    system = _system()
-    built = _pair(
-        system,
-        outbound_limit=3,
-        overflow="block",
-        block_timeout=0.2,
-        connect_timeout=0.2,
-    )
-    a = built["a"]
-    nowhere = Address("127.0.0.1", 1)
-    started = time.monotonic()
-    for n in range(5):
-        a.send(nowhere, n)
-    net_a = built["nets"]["a"]
-    # Two sends overflowed: each blocked for block_timeout, then shed.
-    assert wait_until(lambda: net_a.status_snapshot()["dropped_frames"] == 2, timeout=10)
-    assert net_a.status_snapshot()["queued_frames"] <= 3
-    assert time.monotonic() - started < 8.0
-    system.shutdown()
-
-
 def test_blocking_tcp_drop_oldest_counts_dropped_frames():
     """The oracle backend has the same bounded outbox: wedge its writer
     against a listener that never reads and watch the queue shed frames."""
