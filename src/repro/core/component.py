@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import TYPE_CHECKING, NamedTuple, Optional, TypeVar
+from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Optional, TypeVar
 
 from . import channel as channel_mod
 from . import dispatch, observe, routing
 from .errors import ConfigurationError, LifecycleError, SanitizerError
-from .event import Event
+from .event import Direction, Event
 from .fault import Fault, escalate
 from .handler import HandlerFn, Subscription, make_subscription
 from .lifecycle import ControlPort, Init, LifecycleState, Start, Stop
@@ -51,6 +51,54 @@ def _construction_stack() -> list["ComponentCore"]:
 
 def _noop_handler(_event: Event) -> None:
     """Built-in no-op target for life-cycle events."""
+
+
+_log = logging.getLogger("repro.core")
+
+
+class _Execution(threading.local):
+    """Per thread: is a handler executing here, and what runs when it returns.
+
+    ``running`` is set by :meth:`ComponentCore.execute` and
+    :meth:`ComponentCore.execute_slot` around each work item; ``deferred``
+    holds the ``{key: fn}`` calls that :func:`after_handler` registered
+    while it ran, run (and cleared) as the item returns.
+    """
+
+    running = False
+    deferred: Optional[dict] = None
+
+    def run_deferred(self) -> None:
+        while self.deferred:
+            deferred, self.deferred = self.deferred, None
+            for key, fn in deferred.items():
+                try:
+                    fn(key)
+                except Exception:  # noqa: BLE001 - must not kill the worker
+                    _log.exception("call after handler return raised")
+
+
+_execution = _Execution()
+
+
+def after_handler(fn: Callable[[Hashable], None], key: Hashable) -> bool:
+    """Run ``fn(key)`` once when the handler executing on this thread returns.
+
+    However often it is asked for the same ``key`` during one handler
+    execution, the call runs once, after the handler and before the
+    scheduler moves on, still on this thread.  Returns False, and
+    registers nothing, when no handler is executing on the calling
+    thread (a foreign thread, or the driver of a manual scheduler
+    between slots).
+    """
+    ctx = _execution
+    if not ctx.running:
+        return False
+    deferred = ctx.deferred
+    if deferred is None:
+        deferred = ctx.deferred = {}
+    deferred.setdefault(key, fn)
+    return True
 
 
 class WorkItem(NamedTuple):
@@ -87,6 +135,7 @@ _BUSY = ExecutionState.BUSY
 _DESTROYED = LifecycleState.DESTROYED
 _FAULTY = LifecycleState.FAULTY
 _PASSIVE = LifecycleState.PASSIVE
+_ACTIVE = LifecycleState.ACTIVE
 _LIFECYCLE = (Init, Start, Stop)
 
 
@@ -161,6 +210,43 @@ class ComponentDefinition:
         face.attach_subscription(subscription)
         face._handlers = None
         self._core.note_init_subscription(subscription, face)
+        routing.invalidate(face)
+
+    def direct_entry(
+        self, face: PortFace, event_type: type[Event], entry: Callable[[Event], None]
+    ) -> None:
+        """Let senders call ``entry`` for ``event_type`` requests at ``face``.
+
+        ``face`` is the inside face of one of this component's provided
+        ports.  Compiled plans then deliver such a request by calling
+        :meth:`ComponentCore.receive_direct`, which runs ``entry`` inside
+        the sender's handler execution while this component is ACTIVE and
+        has nothing queued, buffered or executing; otherwise the request
+        takes the mailbox as usual and the subscribed handler runs it.
+        ``entry`` must therefore be safe to call from any thread, also
+        concurrently with itself and with this component's handlers.
+        """
+        port = face.port
+        if (
+            port.owner is not self._core
+            or not port.is_provided
+            or not face.is_inside
+            or port.is_control
+        ):
+            raise ConfigurationError(
+                f"a direct entry needs the inside face of a provided port of "
+                f"{self._core.name}, not {face!r}"
+            )
+        if not port.port_type.allowed(Direction.NEGATIVE, event_type):
+            raise ConfigurationError(
+                f"{event_type.__name__} is not a request of {port.port_type.__name__}"
+            )
+        entries = self._core._entries
+        if entries is None:
+            entries = self._core._entries = {}
+        if face in entries:
+            raise ConfigurationError(f"{face!r} already has a direct entry")
+        entries[face] = (event_type, entry)
         routing.invalidate(face)
 
     def unsubscribe(self, handler: HandlerFn, face: PortFace) -> None:
@@ -294,6 +380,7 @@ class ComponentCore:
         "_needs_init",
         "_init_received",
         "_fast_admit",
+        "_entries",
         "component",
         "definition",
     )
@@ -354,6 +441,9 @@ class ComponentCore:
         # late Init subscription).  A stale False is merely slow; the
         # clearing sites keep True from ever going stale.
         self._fast_admit = False
+        #: ``{face: (event type, entry)}`` registered by
+        #: ``ComponentDefinition.direct_entry``, or None (nearly every core).
+        self._entries: Optional[dict] = None
         self.component = Component(self)
 
         stack = _construction_stack()
@@ -431,6 +521,34 @@ class ComponentCore:
                 system.scheduler.schedule(self)
             else:
                 system.component_ready(self)
+
+    def receive_direct(self, event: Event, face: PortFace) -> None:
+        """Deliver a request at a face with a direct entry (called by plans).
+
+        The entry runs in the sender's handler execution, on the sender's
+        thread, only while nothing of this component's can still be ahead
+        of it: the component is ACTIVE, IDLE (nothing queued, nothing
+        executing) and has nothing buffered.  That keeps each sender's
+        requests in FIFO order — an earlier one still in the mailbox, or
+        still executing, sends this one there too.  A sender that is not a
+        running handler (a foreign thread) always takes the mailbox.  An
+        exception in the entry is logged and goes no further: it must not
+        fault the sender.
+        """
+        if (
+            self._exec_state == _IDLE
+            and self.state is _ACTIVE
+            and _execution.running
+            and not self._buffer
+        ):
+            try:
+                self._entries[face][1](event)
+            except SanitizerError:
+                raise
+            except Exception:  # noqa: BLE001 - the sender must not fault
+                _log.exception("direct entry of %s raised", self.name)
+            return
+        self.receive_event(event, face)
 
     def receive_work(
         self, event: Event, handlers: tuple[HandlerFn, ...], is_control: bool
@@ -533,13 +651,21 @@ class ComponentCore:
 
         executed = 0
         stopped_states = (LifecycleState.DESTROYED, LifecycleState.FAULTY)
-        while executed < max_events:
-            with self._lock:
-                if self.state in stopped_states or not self._queue:
-                    break
-                item = self._popleft()
-            self._execute_item(item)
-            executed += 1
+        ctx = _execution
+        outer = ctx.running
+        ctx.running = True
+        try:
+            while executed < max_events:
+                with self._lock:
+                    if self.state in stopped_states or not self._queue:
+                        break
+                    item = self._popleft()
+                self._execute_item(item)
+                if ctx.deferred:
+                    ctx.run_deferred()
+                executed += 1
+        finally:
+            ctx.running = outer
 
         with self._lock:
             if self.state in stopped_states or not self._queue:
@@ -568,13 +694,20 @@ class ComponentCore:
         state = self.state
         if queue and state is not _DESTROYED and state is not _FAULTY:
             item = self._popleft()
-            if self.system.tracer is not None or observe.observer is not None:
-                self._execute_item(item)  # instrumented path (tracer/observers)
-            else:
-                if isinstance(item.event, _LIFECYCLE):
+            ctx = _execution
+            outer = ctx.running
+            ctx.running = True
+            try:
+                if self.system.tracer is not None or observe.observer is not None:
+                    self._execute_item(item)  # instrumented path (tracer/observers)
+                elif isinstance(item.event, _LIFECYCLE):
                     self._dispatch_item(item)
                 else:
                     self._run_handlers(item)
+                if ctx.deferred:
+                    ctx.run_deferred()
+            finally:
+                ctx.running = outer
             state = self.state  # the handler may have faulted or destroyed us
         if queue and state is not _DESTROYED and state is not _FAULTY:
             self._exec_state = _READY
@@ -742,9 +875,7 @@ class ComponentCore:
         try:
             self.definition.tear_down()
         except Exception:  # noqa: BLE001 - teardown must not break destroy
-            logging.getLogger("repro.core").exception(
-                "tear_down of %s raised", self.name
-            )
+            _log.exception("tear_down of %s raised", self.name)
         if self.parent is not None and self in self.parent.children:
             self.parent.children.remove(self)
         self.system.unregister_component(self)
@@ -755,11 +886,6 @@ class ComponentCore:
     def pending_events(self) -> int:
         with self._lock:
             return len(self._queue) - self._qhead + len(self._buffer)
-
-    @property
-    def executing(self) -> bool:
-        """True while a scheduler is running one of this component's handlers."""
-        return self._exec_state == _BUSY
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ComponentCore {self.name} {self.state.value}>"

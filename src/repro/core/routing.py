@@ -14,7 +14,12 @@ traversal into an immutable :class:`DeliveryPlan`:
 
 - an ordered sequence of **delivery steps** ``(owner, face)`` — the
   ``ComponentCore.receive_event`` calls of the traversal, in its
-  depth-first order (so per-component FIFO order is preserved);
+  depth-first order (so per-component FIFO order is preserved).  A step
+  to a face where the owner registered a direct entry for the event type
+  (``ComponentDefinition.direct_entry``) compiles to
+  ``ComponentCore.receive_direct`` instead, which calls the entry in the
+  sender's execution while the owner is ACTIVE and its mailbox empty, and
+  falls back to ``receive_event`` otherwise;
 - **live steps** ``(channel, source face)`` for the channel hops that must
   still run live logic at event time: selector channels (the predicate
   sees the event value), and held or unplugged channels, which compile to
@@ -96,10 +101,11 @@ class DeliveryPlan:
             # redundant here (the owner is recoverable as
             # ``receive.__self__``), so the all-DELIVER case — nearly every
             # plan — stores only the prebound form: plan tables are a large
-            # slice of a big simulation's per-peer footprint.
+            # slice of a big simulation's per-peer footprint.  (The tagged
+            # form below never calls a direct entry: it always enqueues.)
             self.steps = ()
             self.deliveries = tuple(
-                (owner.receive_event, face) for _, owner, face in steps
+                (_receiver(owner, face, event_type), face) for _, owner, face in steps
             )
 
     def execute(self, event: Event) -> None:
@@ -136,6 +142,16 @@ class DeliveryPlan:
             f"<DeliveryPlan {self.event_type.__name__}/{self.direction.value} "
             f"deliver={deliver} live={live}>"
         )
+
+
+def _receiver(owner: "ComponentCore", face: "PortFace", event_type: type[Event]):
+    """The receive method a delivery step to ``face`` prebinds."""
+    entries = owner._entries
+    if entries is not None:
+        entry = entries.get(face)
+        if entry is not None and issubclass(event_type, entry[0]):
+            return owner.receive_direct
+    return owner.receive_event
 
 
 def compile_plan(

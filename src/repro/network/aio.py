@@ -23,23 +23,32 @@ wire.  Execution model:
   it while it closes the socket, so no thread is ever inside
   ``sendmsg`` on a closing descriptor.  One outbox and one writer at a
   time is what keeps per-pair FIFO while the connection lives;
-- **direct write**: a handler thread encodes the message and appends it
-  to the peer's outbox.  If the connection is established, nothing is
-  in flight on it and the handler runs out of the component's mailbox
-  with no further event queued behind it, the handler takes write
-  ownership, drains the outbox itself and returns — no self-pipe byte,
-  no thread switch.  If the socket refuses bytes (``EAGAIN``, partial
-  write, error), the connection is still dialling, or the try-lock is
-  lost, it leaves the queue as it is and wakes the loop, which carries
-  on from there;
-- **write coalescing**: when more sends are queued behind this one (or
-  the caller bypassed the mailbox, where a burst would have shown) they
-  only accumulate and wake the loop; the last of them, or the loop,
-  folds whatever has queued into one batch frame (``FLAG_BATCH``,
-  count-prefixed) flushed with a single ``sendmsg`` scatter/gather
-  syscall — headers and payloads ride as separate iovec segments, never
-  concatenated.  The same happens under backpressure: while a batch
-  tail is in flight, everything sent accumulates behind it;
+- **sends on the sender's thread**: ``on_send`` is the direct entry of
+  the Network port (``ComponentDefinition.direct_entry``), so a
+  handler's send does not take this component's mailbox: the sending
+  handler encodes the message and appends it to the peer's outbox
+  itself, on its own thread.  The mailbox is used, exactly as before,
+  only while this component is not started, has work queued or is
+  executing, or when the trigger comes from a thread that runs no
+  handler;
+- **write at handler return**: a send appended from inside a handler
+  asks ``repro.core.component.after_handler`` for a flush of its peer.
+  When the handler returns, that flush takes write ownership and drains
+  the outbox — every send the handler made to that peer, folded into
+  batch frames — with no self-pipe byte and no thread switch.  A peer
+  whose outbox reaches ``_MAX_BATCH`` is flushed at once, so one handler
+  never holds more than a batch for one peer.  If the socket refuses
+  bytes (``EAGAIN``, partial write, error), the connection is still
+  dialling, or the try-lock is lost, the queue stays as it is and the
+  loop is woken to carry on;
+- **write coalescing**: a batch frame (``FLAG_BATCH``, count-prefixed)
+  goes out with a single ``sendmsg`` scatter/gather syscall — headers
+  and payloads ride as separate iovec segments, never concatenated.
+  Sends from a thread that runs no handler (``on_send`` called
+  directly) only accumulate and wake the loop, which folds whatever
+  has queued into batches.  The same happens under backpressure: while
+  a batch tail is in flight, everything sent accumulates behind it and
+  the loop writes it when the socket drains;
 - **zero-copy receive**: one reusable buffer is ``recv_into``-ed and fed
   to a per-connection :class:`FrameStreamParser`, which decodes from
   ``memoryview`` slices and copies only incomplete tails;
@@ -50,8 +59,10 @@ wire.  Execution model:
   (``outbound_limit``); past it the oldest queued frame is dropped, and
   drops are counted and surfaced over the ``Status`` port;
 - **containment**: an unexpected exception in a selector callback or in
-  a direct write sheds that one connection and is counted
-  (``loop_errors``); the loop and every other connection live on.
+  a write from a sender's thread sheds that one connection and is
+  counted (``loop_errors``); the loop and every other connection live
+  on.  One raised while encoding a send is counted the same way and
+  never reaches the sending handler.
 
 Delivery semantics match the oracle: per-peer-pair FIFO while a
 connection lives, no delivery guarantee across a connection failure
@@ -70,7 +81,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.component import ComponentDefinition
+from ..core.component import ComponentDefinition, after_handler
 from ..core.handler import handles
 from ..protocols.monitor.port import (
     Status,
@@ -91,7 +102,8 @@ from .serialization import (
 #: iovec segments per sendmsg call, safely under every platform's IOV_MAX.
 _IOV_CAP = 512
 #: Messages folded into one batch frame; 2 segments each plus the batch
-#: header keeps a full batch within _IOV_CAP.
+#: header keeps a full batch within _IOV_CAP.  Also the most sends one
+#: handler queues for a peer before it writes them without waiting to return.
 _MAX_BATCH = 128
 #: Redial backoff: doubles per failure from _BACKOFF_BASE up to _BACKOFF_MAX
 #: seconds; a connection that lived _BACKOFF_MAX seconds restarts it.
@@ -197,7 +209,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         self.bytes_received = 0
         self.reconnects = 0
         self.reaped = 0
-        self.direct_writes = 0  # sends whose frames the sender's thread wrote itself
+        self.direct_writes = 0  # outbox drains a sender's thread did itself
         self.loop_wakeups = 0  # self-pipe bytes: times a thread had to wake the loop
         self.loop_errors = 0  # unexpected exceptions contained to one connection
 
@@ -236,12 +248,21 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         )
         self._loop.start()
         self.subscribe(self.on_send, self.port)
+        self.direct_entry(self.port, Message, self.on_send)
         self.subscribe(self.on_status, self.status)
 
     # --------------------------------------------------------------- sending
 
     @handles(Message)
     def on_send(self, message: Message) -> None:
+        """Queue ``message`` for its peer; safe from any thread.
+
+        Inside a handler (this component's own, or a sender's through the
+        direct entry), on an established connection with nothing in
+        flight, the peer is flushed when that handler returns, or at once
+        when ``_MAX_BATCH`` sends wait for it.  Otherwise the loop is
+        woken and writes it.
+        """
         destination = message.destination
         if destination == self.address or (
             destination.host == self.address.host
@@ -250,7 +271,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             self.trigger(message, self.port)
             return
         try:
-            # Encoding on the handler thread keeps the loop thread lean
+            # Encoding on the sender's thread keeps the loop thread lean
             # and parallelises serialization across scheduler workers.
             # The adaptive-compression stats inside the codec may race
             # between workers; they only steer a send-side heuristic.
@@ -258,15 +279,11 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         except SerializationError:
             self.log.exception("dropping unserializable message")
             return
+        except Exception:  # noqa: BLE001 - must not reach the sending handler
+            self._contained("encode")
+            return
         key = (destination.host, destination.port)
-        # More sends queued behind this one?  Then this one only
-        # accumulates; the last of the burst (or the loop) writes them
-        # out as one batch.  The mailbox is where a burst shows, so a
-        # caller that did not come out of it (a foreign thread calling
-        # this handler) gives no such reading and coalesces via the loop.
-        core = self.core
-        last_queued = core.executing and core.pending_events == 0
-        need_wake = False
+        flush_now = need_wake = False
         # The lock guards only in-memory deque/dict operations (both here
         # and on the loop thread); it is never held across a syscall, so
         # the stall P005 warns about is a few hundred nanoseconds.
@@ -284,20 +301,27 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             peer.outbox.append(part)
             self.sent += 1
             conn = peer.conn
-            direct = (
-                last_queued
-                and conn is not None
+            if (
+                conn is not None
                 and not conn.connecting
                 and not conn.inflight
-            )
-            if not direct:
+                and after_handler(self._flush_peer, peer)
+            ):
+                flush_now = len(peer.outbox) >= _MAX_BATCH
+            else:
+                # Dialling, backpressured, or no handler to wait for.
                 self._dirty.append(peer)
                 need_wake = self._claim_wake()
-        if direct:
-            if not self._write_direct(peer, conn):
-                self._notify(peer)
+        if flush_now:
+            self._flush_peer(peer)
         elif need_wake:
             self._wake()
+
+    def _flush_peer(self, peer: _Peer) -> None:
+        """Write ``peer``'s outbox from this thread, else hand it to the loop."""
+        conn = peer.conn
+        if conn is None or conn.connecting or not self._write_direct(peer, conn):
+            self._notify(peer)
 
     def _write_direct(self, peer: _Peer, conn: "_AioConnection") -> bool:
         """Drain ``peer``'s outbox from the sender's own thread.
@@ -311,6 +335,8 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         if not conn.write_lock.acquire(blocking=False):
             return False
         try:
+            if not peer.outbox and not conn.inflight:
+                return True  # an earlier flush took it all
             drained = self._drain(conn)
         except OSError:
             return False  # the loop's own attempt meets the error and redials

@@ -11,6 +11,14 @@ by destination address; each simulated node embeds its own
 :class:`EmulatedNetwork` adapter component providing the Network port.
 Keeping routing in the service (not event broadcast) keeps delivery O(1)
 per message regardless of node count, which matters for Table 1.
+
+A send does not wait for a slot of its own: the adapter registers
+:meth:`EmulatedNetwork.on_send` as the direct entry of its Network port,
+so a handler's send is routed (latency sampled, delivery scheduled) inside
+the sending handler's execution.  Virtual time does not move within a
+drain, so the delivery times are those the adapter's own slot would have
+computed.  A send made while the adapter is not started, or from outside
+a handler, takes its mailbox as before.
 """
 
 from __future__ import annotations
@@ -143,6 +151,7 @@ class EmulatedNetwork(ComponentDefinition):
         self._emulator = emulator_of(self.system)
         self._emulator.register(address, self)
         self.subscribe(self.on_send, self.port)
+        self.direct_entry(self.port, Message, self.on_send)
 
     @handles(Message)
     def on_send(self, message: Message) -> None:

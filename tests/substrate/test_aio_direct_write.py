@@ -1,14 +1,15 @@
 """AioTcpNetwork's direct-write path and the containment rule around it.
 
-A send that is alone (it came out of the component's mailbox with no
-further event queued behind it, the connection is established, nothing
-is in flight) is written by the sender's own thread; everything else
-still goes through the loop.  These tests pin
-what that must not break: per-pair FIFO when the direct write runs into
-a full socket mid-batch, connections being closed under a running
-sender, senders that are not scheduler workers, and coalescing of
-bursts — plus the rule that one bad frame or one raising codec costs
-one connection, never the loop.
+A handler's sends reach the network component through its direct entry
+and are written by the sender's own thread when the handler returns (one
+batch per peer), or as soon as a batch is full — provided the connection
+is established and nothing is in flight; everything else still goes
+through the loop.  These tests pin what that must not break: per-pair
+FIFO when the direct write runs into a full socket mid-batch,
+connections being closed under a running sender, senders that are not
+scheduler workers, the batch and outbox bound of one handler's sends,
+and ping-pong that never wakes the loop — plus the rule that one bad
+frame or one raising codec costs one connection, never the loop.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import random
 import socket
 import sys
 import threading
+from collections import deque
 from dataclasses import dataclass
 
-from repro import ComponentDefinition, ComponentSystem, WorkStealingScheduler
+from repro import ComponentDefinition, ComponentSystem, Event, PortType, WorkStealingScheduler
 from repro.network import Address, AioTcpNetwork, FrameCodec, Message, Network
 
-from tests.kit import Scaffold, wait_until
+from tests.kit import Scaffold, inject, wait_until
 
 
 @dataclass(frozen=True)
@@ -37,17 +39,33 @@ class Burst(Message):
     count: int = 0
 
 
+@dataclass(frozen=True)
+class Notes(Event):
+    """Have a Peer send Notes ``first, first + 1, ...`` from one handler."""
+
+    to: Address
+    first: int
+    sizes: tuple[int, ...]
+
+
+class Orders(PortType):
+    negative = (Notes,)
+
+
 class Peer(ComponentDefinition):
     """Records what arrives per lane; answers a Burst with that many Notes
-    from one handler execution, and echoes lane-9 Notes (ping-pong)."""
+    from one handler execution, echoes lane-9 Notes (ping-pong), and sends
+    the Notes it is ordered to from one handler execution."""
 
     def __init__(self, address: Address) -> None:
         super().__init__()
         self.address = address
         self.network = self.requires(Network)
+        self.orders = self.provides(Orders)
         self.lanes: dict[int, list[int]] = {}
         self.subscribe(self.on_note, self.network, event_type=Note)
         self.subscribe(self.on_burst, self.network, event_type=Burst)
+        self.subscribe(self.on_notes, self.orders, event_type=Notes)
 
     def on_note(self, note: Note) -> None:
         self.lanes.setdefault(note.lane, []).append(note.n)
@@ -57,6 +75,10 @@ class Peer(ComponentDefinition):
     def on_burst(self, burst: Burst) -> None:
         for n in range(burst.count):
             self.send(burst.source, n, lane=5)
+
+    def on_notes(self, notes: Notes) -> None:
+        for n, size in enumerate(notes.sizes, notes.first):
+            self.send(notes.to, n, body=b"x" * size)
 
     def send(self, to: Address, n: int, lane: int = 0, body: bytes = b"") -> None:
         self.trigger(Note(self.address, to, n=n, lane=lane, body=body), self.network)
@@ -85,12 +107,24 @@ def _warm(sender: Peer, receiver: Peer, lane: int = 0) -> None:
     receiver.lanes[lane].clear()
 
 
-def _send_alone(sender: Peer, net: AioTcpNetwork, to: Address, n: int, **fields) -> None:
-    """One send through the port that is handled before the next is made:
-    alone in the network component's mailbox, it tries the direct write."""
-    handled = net.sent
-    sender.send(to, n, **fields)
-    assert wait_until(lambda: net.sent > handled, timeout=10, interval=0)
+def _send_from_handler(sender: Peer, net: AioTcpNetwork, to: Address, first: int,
+                       sizes: list[int]) -> None:
+    """Have one handler of ``sender`` send Notes ``first...`` and wait until
+    the network component has them: they are written when it returns."""
+    queued = net.sent
+    inject(sender, Orders, Notes(to, first, tuple(sizes)))
+    assert wait_until(lambda: net.sent >= queued + len(sizes), timeout=10, interval=0)
+
+
+class _HighWater(deque):
+    """An outbox that remembers the most frames it held at once."""
+
+    high = 0
+
+    def append(self, item) -> None:
+        super().append(item)
+        if len(self) > self.high:
+            self.high = len(self)
 
 
 # -------------------------------------------------------------- direct write
@@ -112,11 +146,11 @@ def test_direct_write_into_full_socket_keeps_fifo_and_loses_nothing():
         net_b._post(lambda: (stopped.set(), gate.wait(timeout=60)))
         assert stopped.wait(timeout=10)  # the receiver's loop no longer reads
 
-        # Alone at the component every time: each of these tries the direct
-        # write, so the first EAGAIN / partial write is met on the worker's
-        # thread, with a batch tail left in flight.
-        for n in range(stalled_part):
-            _send_alone(a, net_a, b.address, n, body=b"x" * sizes[n])
+        # Small groups from one handler each: the group is written from the
+        # worker's thread when the handler returns, so the first EAGAIN /
+        # partial write is met there, with a batch tail left in flight.
+        for first in range(0, stalled_part, 16):
+            _send_from_handler(a, net_a, b.address, first, sizes[first:first + 16])
         stalled = net_a.status_snapshot()
         assert stalled["direct_writes"] > before["direct_writes"]
         assert stalled["queued_frames"] > 0  # the socket refused; frames wait
@@ -291,15 +325,42 @@ def test_ping_pong_never_wakes_the_loop_and_a_burst_still_coalesces():
             assert after["direct_writes"] - warm["direct_writes"] >= 500
             assert after["sent"] - warm["sent"] == after["direct_writes"] - warm["direct_writes"]
 
-        # 64 sends from one handler execution queue up behind each other at
-        # b's network component: they must leave as batch frames.
+        # 64 sends from one handler execution leave as one batch frame,
+        # written by b's worker when the handler returns.
         a.trigger(Burst(a.address, b.address, count=64), a.network)
         assert wait_until(lambda: a.lanes.get(5) == list(range(64)), timeout=20)
         burst = net_b.status_snapshot()
-        messages = burst["batched_messages"] - after_b["batched_messages"]
-        batches = burst["batches"] - after_b["batches"]
-        assert messages == 64
-        assert messages / batches > 1
+        assert burst["batched_messages"] - after_b["batched_messages"] == 64
+        assert burst["batches"] - after_b["batches"] == 1
+        assert burst["direct_writes"] - after_b["direct_writes"] == 1
+        assert burst["loop_wakeups"] == after_b["loop_wakeups"]
+    finally:
+        system.shutdown()
+
+
+def test_a_thousand_sends_from_one_handler_leave_in_order_and_in_bounded_batches():
+    system, peers, nets = _build()
+    a, b, net_a, net_b = peers["a"], peers["b"], nets["a"], nets["b"]
+    try:
+        _warm(a, b)
+        _warm(b, a, lane=5)
+        peer = net_b._peers[(a.address.host, a.address.port)]
+        with net_b._lock:
+            peer.outbox = outbox = _HighWater(peer.outbox)
+        sizes, batch_buffers = [], net_b.codec.batch_buffers
+
+        def recording(parts):
+            sizes.append(len(parts))
+            return batch_buffers(parts)
+
+        net_b.codec.batch_buffers = recording
+        a.trigger(Burst(a.address, b.address, count=1000), a.network)
+        assert wait_until(lambda: len(a.lanes.get(5, [])) == 1000, timeout=20)
+        assert a.lanes[5] == list(range(1000))
+        assert sum(sizes) == 1000 and max(sizes) <= 128
+        assert outbox.high <= 128
+        assert net_b.status_snapshot()["dropped_frames"] == 0
+        assert not system.unhandled_faults
     finally:
         system.shutdown()
 
@@ -356,7 +417,7 @@ def test_exception_in_a_direct_write_does_not_fault_the_component():
             return real(parts)
 
         net_a.codec.batch_buffers = batch_buffers
-        a.send(b.address, 1)  # alone: written, and lost, on the worker's thread
+        a.send(b.address, 1)  # written when on_send returns, and lost, on the worker's thread
         assert wait_until(lambda: net_a.status_snapshot()["loop_errors"] == 1, timeout=10)
         assert wait_until(lambda: net_a.status_snapshot()["connections"] == 0, timeout=10)
         assert net_a.status_snapshot()["dropped_frames"] == 1  # the lost frame is counted
