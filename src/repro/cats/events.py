@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from ..core.event import Event
 from ..core.port import PortType
 from ..network.address import Address
-from ..network.compact import register_compact
+from ..network.compact import Value, register_compact
 from ..network.message import NetworkControlMessage
+from .store import Record
 
 _op_ids = itertools.count(1)
 
@@ -226,7 +227,7 @@ class ReadResponse(NetworkControlMessage):
     found: bool = False
     timestamp: int = 0
     writer: int = 0
-    value: object = None
+    value: Value = None
 
 
 @register_compact
@@ -238,7 +239,7 @@ class WriteRequest(NetworkControlMessage):
     view_id: int = 0
     timestamp: int = 0
     writer: int = 0
-    value: object = None
+    value: Value = None
 
 
 @register_compact
@@ -275,7 +276,7 @@ class ViewPrepare(NetworkControlMessage):
 @dataclass(frozen=True, slots=True)
 class ViewPrepareAck(NetworkControlMessage):
     view_id: int = 0
-    records: tuple = ()  # tuple[Record, ...]
+    records: tuple[Record, ...] = ()
 
 
 @register_compact
@@ -297,7 +298,7 @@ class ViewCommit(NetworkControlMessage):
     range_start: int = 0
     range_end: int = 0
     members: tuple[Address, ...] = ()
-    records: tuple = ()
+    records: tuple[Record, ...] = ()
 
 
 @register_compact

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ..core.component import ComponentDefinition
 from ..core.handler import handles
 from ..network.address import Address
-from ..network.compact import register_compact
+from ..network.compact import Value, register_compact
 from ..network.message import Network, NetworkControlMessage
 from .events import (
     GetRequest,
@@ -31,7 +31,7 @@ from .events import (
 @dataclass(frozen=True, slots=True)
 class ClientPut(NetworkControlMessage):
     key: int = 0
-    value: object = None
+    value: Value = None
     op_id: int = 0
 
 
@@ -57,7 +57,7 @@ class ClientGetReply(NetworkControlMessage):
     op_id: int = 0
     key: int = 0
     found: bool = False
-    value: object = None
+    value: Value = None
     ok: bool = True
     error: str = ""
 

@@ -25,9 +25,7 @@ from ..core.component import ComponentDefinition
 from ..core.handler import handles
 from ..network.address import Address
 from ..network.aio import AioTcpNetwork
-from ..network.compact import CompactCodec
 from ..network.message import Network
-from ..network.serialization import FrameCodec
 from ..protocols.bootstrap.server import BootstrapServer
 from ..runtime.shard import ShardCluster, ShardSpec
 from ..timer.port import Timer
@@ -51,12 +49,6 @@ __all__ = [
 ]
 
 
-def _wire_codec() -> FrameCodec:
-    """The cluster's wire format, the same at every endpoint: the compact
-    registry under the standard frame."""
-    return FrameCodec(codec=CompactCodec())
-
-
 def _make_config(bootstrap: Address, overrides: dict) -> CatsConfig:
     defaults = dict(
         key_space=KeySpace(bits=16),
@@ -77,9 +69,7 @@ class ShardCatsHost(ComponentDefinition):
     def __init__(self, node_id: int, bootstrap: Address,
                  config_overrides: Optional[dict] = None) -> None:
         super().__init__()
-        net = self.create(
-            AioTcpNetwork, Address("127.0.0.1", 0, node_id), codec=_wire_codec()
-        )
+        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id))
         self.address = net.definition.address
         timer = self.create(ThreadTimer)
         self.node = self.create(
@@ -182,9 +172,7 @@ class _BootstrapHost(ComponentDefinition):
 
     def __init__(self) -> None:
         super().__init__()
-        net = self.create(
-            AioTcpNetwork, Address("127.0.0.1", 0), codec=_wire_codec()
-        )
+        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0))
         self.address = net.definition.address
         timer = self.create(ThreadTimer)
         server = self.create(BootstrapServer, self.address)
@@ -197,9 +185,7 @@ class _ClientHost(ComponentDefinition):
 
     def __init__(self, server: Address) -> None:
         super().__init__()
-        net = self.create(
-            AioTcpNetwork, Address("127.0.0.1", 0, node_id=1), codec=_wire_codec()
-        )
+        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=1))
         client = self.create(CatsClient, net.definition.address, server)
         self.recorder = self.create(_ClientRecorder)
         self.connect(net.provided(Network), client.required(Network))

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..network.compact import Value
 from .key import KeySpace
 
 
@@ -21,7 +22,7 @@ class Record:
     key: int
     timestamp: int
     writer: int
-    value: object
+    value: Value
 
     @property
     def stamp(self) -> tuple[int, int]:

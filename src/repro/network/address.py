@@ -47,9 +47,11 @@ class Address:
     def __getstate__(self) -> dict:
         # Never serialize the cached hash: str hashes are randomized per
         # process, so a pickled hash is wrong on the receiving node and
-        # would break every dict/set lookup there.
+        # would break every dict/set lookup there.  The compact codec's
+        # cached wire bytes (``_wire``) are rebuilt on demand as well.
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_wire", None)
         return state
 
     def __str__(self) -> str:

@@ -90,6 +90,7 @@ from ..protocols.monitor.port import (
     StatusSnapshotEnd,
 )
 from .address import Address
+from .compact import register_compact
 from .message import Message, Network, NetworkControlMessage
 from .serialization import (
     BATCH_OVERHEAD,
@@ -114,6 +115,7 @@ _RECV_BUFFER = 256 * 1024
 _NEVER = float("inf")
 
 
+@register_compact
 @dataclass(frozen=True, slots=True)
 class _Hello(NetworkControlMessage):
     """Handshake frame: tells the acceptor the dialer's listen address."""

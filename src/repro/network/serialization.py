@@ -73,7 +73,8 @@ class Codec(abc.ABC):
 
 
 class PickleCodec(Codec):
-    """Default codec: Python pickling (stands in for the paper's Kryo)."""
+    """Generic Python pickling: the compact codec's fallback for
+    unregistered messages, and a codec of its own on request."""
 
     def encode(self, message: Message) -> bytes:
         try:
@@ -164,12 +165,12 @@ class AdaptiveCompressor:
 class FrameCodec:
     """Length-prefixed framing with optional zlib compression.
 
-    ``adaptive=True`` (the non-blocking backend's default) additionally
-    skips the zlib attempt for payloads the codec marks as already
-    compact (dense binary layouts gain nothing from deflate) and backs
-    off via :class:`AdaptiveCompressor` when recent attempts did not pay
-    for themselves.  Both are send-side heuristics only: the wire format
-    and the decode path are identical either way.
+    The payload codec defaults to
+    :class:`~repro.network.compact.CompactCodec`.  ``adaptive=True`` (the
+    non-blocking backend's default) backs off via
+    :class:`AdaptiveCompressor` when recent zlib attempts did not pay for
+    themselves.  That is a send-side heuristic only: the wire format and
+    the decode path are identical either way.
     """
 
     def __init__(
@@ -179,12 +180,15 @@ class FrameCodec:
         max_frame: int = 64 * 1024 * 1024,
         adaptive: bool = False,
     ) -> None:
-        self.codec = codec if codec is not None else PickleCodec()
+        if codec is None:
+            from .compact import CompactCodec  # compact builds on this module
+
+            codec = CompactCodec()
+        self.codec = codec
         self.compress_threshold = compress_threshold
         self.max_frame = max_frame
         self.adaptive = adaptive
         self._compressor = AdaptiveCompressor() if adaptive else None
-        self._is_compact = getattr(self.codec, "is_already_compact", None)
 
     def encode_payload(self, message: Message) -> tuple[int, bytes]:
         """Encode one message to its on-wire ``(flags, payload)`` pair."""
@@ -195,11 +199,10 @@ class FrameCodec:
             and len(payload) >= self.compress_threshold
         ):
             if self._compressor is not None:
-                if self._is_compact is None or not self._is_compact(payload):
-                    compressed = self._compressor.compress(payload)
-                    if compressed is not None:
-                        payload = compressed
-                        flags |= FLAG_COMPRESSED
+                compressed = self._compressor.compress(payload)
+                if compressed is not None:
+                    payload = compressed
+                    flags |= FLAG_COMPRESSED
             else:
                 compressed = zlib.compress(payload)
                 if len(compressed) < len(payload):
@@ -254,7 +257,10 @@ class FrameCodec:
     def decode_payload(self, flags: int, payload: ReadableBuffer) -> Message:
         """Decode one standard frame's payload (decompressing if marked)."""
         if flags & FLAG_COMPRESSED:
-            payload = zlib.decompress(payload)
+            try:
+                payload = zlib.decompress(payload)
+            except zlib.error as exc:
+                raise SerializationError(f"corrupt compressed payload: {exc}") from exc
         return self.codec.decode(payload)
 
     def unframe(self, frame: ReadableBuffer) -> Message:

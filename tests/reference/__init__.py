@@ -13,5 +13,8 @@ knows these modules exist:
 - :mod:`tests.reference.tcp` — the blocking thread-per-connection
   ``TcpNetwork`` (the socket transport before ``AioTcpNetwork``), for
   ``tests/substrate/test_netio_differential.py`` and the interop and
-  bounded-outbox cases of ``tests/substrate/test_aio_network.py``.
+  bounded-outbox cases of ``tests/substrate/test_aio_network.py``;
+- :mod:`tests.reference.compact` — the interpreted field-by-field compact
+  codec (before layouts were compiled), for
+  ``tests/substrate/test_compact_differential.py``.
 """

@@ -16,17 +16,18 @@ from typing import Optional
 import pytest
 
 from repro.cats.events import FindSuccessor, FoundSuccessor, WriteRequest
-from repro.cats.remote import ClientPut
+from repro.cats.remote import ClientPut, ClientPutReply
 from repro.network.address import Address
 from repro.network.compact import (
     CompactCodec,
     CompactRegistrationError,
     is_registered,
+    layout_of,
     register_compact,
     registered_types,
 )
 from repro.network.message import Message, NetworkControlMessage
-from repro.network.serialization import FrameCodec, SerializationError
+from repro.network.serialization import FrameCodec, PickleCodec, SerializationError
 
 ADDR = Address("127.0.0.1", 9000, 3)
 PEER = Address("10.0.0.2", 9500, 17)
@@ -124,6 +125,10 @@ class _Kinds(NetworkControlMessage):
     peer: Optional[Address] = None
     peers: tuple[Address, ...] = ()
     mixed: tuple = ()  # heterogeneous: rides the pickle blob
+    maybe: Optional[int] = None
+    counts: tuple[float, ...] = ()
+    pair: tuple[str, Optional[bool]] = ("", None)
+    grid: tuple[tuple[int, ...], ...] = ()
 
 
 def test_field_kind_coverage():
@@ -139,13 +144,23 @@ def test_field_kind_coverage():
         peer=Address("::1", 1, None),
         peers=(ADDR, PEER),
         mixed=(1, "two", None),
+        maybe=-2**63,
+        counts=(0.5, -1e300),
+        pair=("p", False),
+        grid=((1, 2), (), (3,)),
     )
     payload = codec.encode(message)
     clone = codec.decode(payload)
     assert clone == message
     assert isinstance(clone.flag, bool)
+    assert clone.pair[1] is False
     assert clone.peer.node_id is None
     assert codec.encode(clone) == payload
+    # the compiled layout matches the interpreted one, field kind by kind
+    from tests.reference.compact import ReferenceCompactCodec
+
+    assert ReferenceCompactCodec().encode(message) == payload
+    assert ReferenceCompactCodec().decode(payload) == message
 
 
 def test_optional_none_takes_one_byte_flag():
@@ -165,11 +180,15 @@ class _Unregistered(NetworkControlMessage):
 
 
 def test_unregistered_message_uses_marked_pickle_fallback():
+    """The fallback payload is PickleCodec's, byte for byte: pickle's own
+    protocol opcode (0x80) is the marker, nothing is prepended."""
     codec = CompactCodec()
     message = _Unregistered(source=ADDR, destination=PEER, n=9)
     payload = codec.encode(message)
-    assert payload[0] == 0x00
+    assert payload[0] == 0x80
+    assert payload == PickleCodec().encode(message)
     assert codec.decode(payload) == message
+    assert codec.decode(memoryview(payload)) == message
 
 
 def test_unpicklable_fallback_raises_serialization_error():
@@ -191,14 +210,42 @@ def test_decode_error_paths():
         codec.decode(b"\x7fjunk")
     with pytest.raises(SerializationError, match="unknown compact tag"):
         codec.decode(b"\x01\xde\xad\xbe\xef")
+    with pytest.raises(SerializationError, match="unknown frame marker 0x00"):
+        codec.decode(b"\x00" + pickle.dumps("the retired fallback marker"))
     with pytest.raises(SerializationError, match="cannot unpickle"):
-        codec.decode(b"\x00garbage")
+        codec.decode(b"\x80garbage")
     # truncated compact frame: tag resolves, fields do not
     good = codec.encode(FindSuccessor(source=ADDR, destination=PEER, key=1))
     with pytest.raises(SerializationError):
         codec.decode(good[: len(good) // 2])
     with pytest.raises(SerializationError, match="not a Message"):
-        codec.decode(b"\x00" + pickle.dumps("just a string"))
+        codec.decode(pickle.dumps("just a string"))
+
+
+def test_truncated_and_padded_frames_are_rejected():
+    """A length prefix that runs past the payload, or bytes left over after
+    the last field, fail the frame instead of decoding a shortened value."""
+    codec = CompactCodec()
+    reply = codec.encode(ClientPutReply(source=ADDR, destination=PEER, error="boom"))
+    for bad in (reply[:-2], reply[:-1], reply + b"\x00", reply + b"tail"):
+        with pytest.raises(SerializationError):
+            codec.decode(bad)
+    put = codec.encode(ClientPut(source=ADDR, destination=PEER, key=1, value=b"abcdef"))
+    for cut in range(1, len(put) - 5):
+        with pytest.raises(SerializationError):
+            codec.decode(put[:-cut])
+
+
+def test_inflated_counts_are_refused_before_allocating():
+    from repro.cats.events import GetNeighborsReply
+
+    codec = CompactCodec()
+    empty = codec.encode(GetNeighborsReply(source=ADDR, destination=PEER))
+    assert empty[-4:] == b"\x00\x00\x00\x00"  # successors: the u32 count comes last
+    for count in (3, 2**31, 2**32 - 1):
+        inflated = empty[:-4] + count.to_bytes(4, "big") + b"\x00" * 30
+        with pytest.raises(SerializationError, match="cannot fit"):
+            codec.decode(inflated)
 
 
 # ---------------------------------------------- interning and slotting
@@ -249,3 +296,73 @@ def test_frame_codec_interop():
     assert framed.read_frame(stream) == message
     assert framed.read_frame(stream) == message
     assert framed.read_frame(stream) is None
+
+
+# ------------------------------------------------------- closed census
+
+
+def _forbid_pickle(monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pickle called on the compact path")
+
+    monkeypatch.setattr(pickle, "dumps", refuse)
+    monkeypatch.setattr(pickle, "loads", refuse)
+
+
+def test_no_type_registered_from_src_rides_a_pickle_blob():
+    from tests.substrate.wire_kit import wire_types
+
+    types = wire_types()
+    names = {cls.__name__ for cls in types}
+    assert {"_Hello", "ClientPut", "ViewCommit", "ShuffleRequest", "FdPing"} <= names
+    assert "MonitorReport" not in names  # keeps its noqa[D006]
+    for cls in types:
+        blobs = [name for name, layout in layout_of(cls) if "blob" in layout]
+        assert not blobs, f"{cls.__name__} still pickles {blobs}"
+
+
+def test_every_src_type_round_trips_with_pickle_forbidden(monkeypatch):
+    import random
+
+    from tests.substrate.wire_kit import sample, wire_types
+
+    types = wire_types()
+    rng = random.Random(26)
+    samples = [sample(cls, rng, full) for cls in types for full in (False, True)]
+    _forbid_pickle(monkeypatch)
+    framed = FrameCodec(adaptive=True)  # what AioTcpNetwork builds by default
+    for message in samples:
+        assert framed.unframe(framed.frame(message)) == message
+        assert FrameCodec().unframe(FrameCodec().frame(message)) == message
+
+
+def test_default_codecs_are_compact():
+    from repro.network.aio import AioTcpNetwork
+    from repro.network.loopback import LoopbackNetwork
+    from tests.kit import Scaffold, make_system
+
+    assert isinstance(FrameCodec().codec, CompactCodec)
+    built = {}
+
+    def build(scaffold):
+        built["aio"] = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0)).definition
+        built["loop"] = scaffold.create(LoopbackNetwork, ADDR, serialize=True).definition
+
+    system = make_system()
+    system.bootstrap(Scaffold, build)
+    try:
+        assert isinstance(built["aio"].codec.codec, CompactCodec)
+        assert isinstance(built["loop"]._codec.codec, CompactCodec)
+    finally:
+        system.shutdown()
+
+
+def test_value_outside_the_union_fails_at_the_sender():
+    codec = CompactCodec()
+    for bad in ({"a": 1}, (1, 2), bytearray(b"x"), 2**70):
+        with pytest.raises(SerializationError, match="ClientPut.value"):
+            codec.encode(ClientPut(source=ADDR, destination=PEER, key=1, value=bad))
+    for good in (None, True, False, -7, 2.5, "s", b"\x00b"):
+        message = ClientPut(source=ADDR, destination=PEER, key=1, value=good)
+        clone = codec.decode(codec.encode(message))
+        assert clone == message and type(clone.value) is type(good)
