@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import threading
+from collections import deque
 from typing import TYPE_CHECKING, Callable, Hashable, NamedTuple, Optional, TypeVar
 
 from . import channel as channel_mod
@@ -62,11 +63,14 @@ class _Execution(threading.local):
     ``running`` is set by :meth:`ComponentCore.execute` and
     :meth:`ComponentCore.execute_slot` around each work item; ``deferred``
     holds the ``{key: fn}`` calls that :func:`after_handler` registered
-    while it ran, run (and cleared) as the item returns.
+    while it ran, run (and cleared) as the item returns.  ``claimed``,
+    while :func:`deliver_and_run` runs, collects the components made ready
+    on this thread (``ComponentSystem.component_ready``) instead of a worker.
     """
 
     running = False
     deferred: Optional[dict] = None
+    claimed: Optional[deque] = None
 
     def run_deferred(self) -> None:
         while self.deferred:
@@ -99,6 +103,34 @@ def after_handler(fn: Callable[[Hashable], None], key: Hashable) -> bool:
         deferred = ctx.deferred = {}
     deferred.setdefault(key, fn)
     return True
+
+
+def deliver_and_run(deliver: Callable[[], None], budget: int) -> int:
+    """Call ``deliver``, then execute here what it made ready; return the slots.
+
+    While ``deliver`` runs, and while the claimed components execute, every
+    component that becomes ready on this thread is claimed by it instead
+    of being pushed to a worker.  They are executed through
+    :meth:`ComponentCore.execute` exactly as a worker would, one slot each
+    in turn, for at most ``budget`` slots; whatever is still ready then
+    (or when something raises, or the system halted) goes to its scheduler.  The caller must be
+    a thread that runs no handler (an I/O loop).
+    """
+    ctx = _execution
+    claimed = ctx.claimed = deque()
+    slots = 0
+    try:
+        deliver()
+        while claimed and slots < budget and not claimed[0].system.halted:
+            core = claimed.popleft()
+            slots += 1
+            if core.execute(core.system.scheduler.throughput):
+                claimed.append(core)
+    finally:
+        ctx.claimed = None
+        for core in claimed:
+            core.system.scheduler.schedule(core)
+    return slots
 
 
 class WorkItem(NamedTuple):
@@ -642,28 +674,33 @@ class ComponentCore:
 
         Returns True if the component is still READY (the caller must
         requeue it), False if it went idle.  Called only by schedulers; the
-        BUSY state guarantees handler mutual exclusion.
+        BUSY state guarantees handler mutual exclusion.  READY→BUSY and the
+        first pop share one lock acquisition, so one event costs two.
         """
+        stopped_states = (LifecycleState.DESTROYED, LifecycleState.FAULTY)
         with self._lock:
             if self._exec_state != ExecutionState.READY:
                 return False
             self._exec_state = ExecutionState.BUSY
+            live = self._queue and self.state not in stopped_states
+            item = self._popleft() if live else None
 
         executed = 0
-        stopped_states = (LifecycleState.DESTROYED, LifecycleState.FAULTY)
         ctx = _execution
         outer = ctx.running
         ctx.running = True
         try:
-            while executed < max_events:
-                with self._lock:
-                    if self.state in stopped_states or not self._queue:
-                        break
-                    item = self._popleft()
+            while item is not None:
                 self._execute_item(item)
                 if ctx.deferred:
                     ctx.run_deferred()
                 executed += 1
+                if executed >= max_events:
+                    break
+                with self._lock:
+                    if self.state in stopped_states or not self._queue:
+                        break
+                    item = self._popleft()
         finally:
             ctx.running = outer
 

@@ -15,6 +15,12 @@ wire.  Execution model:
   writer thread per connection.  An iteration costs the sockets that
   are ready: timers hang off one stored next-deadline, and the peer
   table is walked only when that deadline passes;
+- **delivery on the loop thread**: the components one read's messages
+  make ready (and those their handlers make ready in turn) run on the
+  loop thread through ``ComponentCore.execute``, up to ``_LOOP_BUDGET``
+  executions per read (``loop_slots``); the rest go to the workers.  A
+  component already ready or busy elsewhere is left to its owner, and a
+  handler that raises there is a ``Fault``, never a ``loop_errors`` count;
 - **write ownership**: a connection has one outbox, one unsent batch
   tail and one ``write_lock``; whoever holds the lock is the only writer
   of that socket, and there is one routine (``_drain``) that turns the
@@ -81,7 +87,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.component import ComponentDefinition, after_handler
+from ..core.component import ComponentDefinition, after_handler, deliver_and_run
 from ..core.handler import handles
 from ..protocols.monitor.port import (
     Status,
@@ -111,6 +117,9 @@ _MAX_BATCH = 128
 _BACKOFF_BASE = 0.05
 _BACKOFF_MAX = 2.0
 _RECV_BUFFER = 256 * 1024
+#: Executions the loop thread runs itself after one read's deliveries;
+#: what is still ready then goes to the scheduler's workers.
+_LOOP_BUDGET = 16
 #: "No timer pending": the loop then sleeps until a socket or the self-pipe wakes it.
 _NEVER = float("inf")
 
@@ -214,6 +223,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         self.direct_writes = 0  # outbox drains a sender's thread did itself
         self.loop_wakeups = 0  # self-pipe bytes: times a thread had to wake the loop
         self.loop_errors = 0  # unexpected exceptions contained to one connection
+        self.loop_slots = 0  # executions the loop thread ran itself (deliver_and_run)
 
         self._peers: dict[tuple[str, int], _Peer] = {}
         self._conns: set[_AioConnection] = set()  # every live socket, incl. pre-hello
@@ -412,6 +422,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             "direct_writes": self.direct_writes,
             "loop_wakeups": self.loop_wakeups,
             "loop_errors": self.loop_errors,
+            "loop_slots": self.loop_slots,
         }
 
     # ------------------------------------------------------------- event loop
@@ -703,10 +714,12 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
             self.bytes_received += count
             conn.last_active = now
             # Like the blocking reader, deliver what decoded before a bad
-            # frame, then close.
+            # frame, then close.  What they make ready runs here first.
             parser = conn.parser
-            for message in parser.feed(view[:count]):
-                self._deliver(message, conn)
+            messages = parser.feed(view[:count])
+            self.loop_slots += deliver_and_run(
+                lambda: self._deliver_all(messages, conn), _LOOP_BUDGET
+            )
             if parser.failed is not None:
                 self.log.error(
                     "closing connection on undecodable frame", exc_info=parser.failed
@@ -715,6 +728,10 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                 return
             if count < _RECV_BUFFER:
                 return
+
+    def _deliver_all(self, messages, conn: _AioConnection) -> None:
+        for message in messages:
+            self._deliver(message, conn)
 
     def _deliver(self, message: Message, conn: _AioConnection) -> None:
         if isinstance(message, _Hello):
@@ -875,8 +892,11 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
                     self._close_conn(peer.conn)
             done.set()
 
-        self._post(close_all)
-        done.wait(timeout=5.0)
+        if threading.current_thread() is self._loop:
+            close_all()  # from a handler the loop runs: it cannot wait for itself
+        else:
+            self._post(close_all)
+            done.wait(timeout=5.0)
 
     # ---------------------------------------------------------------- cleanup
 
@@ -897,6 +917,6 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         with self._lock:
             self._closing = True
         self._wake()
-        self._loop.join(timeout=2.0)
-        if self._loop.is_alive():
-            return  # daemon thread; sockets close when it notices _closing
+        # From a handler the loop runs, the loop closes the sockets on return.
+        if threading.current_thread() is not self._loop:
+            self._loop.join(timeout=2.0)  # daemon thread; it closes the sockets

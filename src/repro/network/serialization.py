@@ -257,10 +257,17 @@ class FrameCodec:
     def decode_payload(self, flags: int, payload: ReadableBuffer) -> Message:
         """Decode one standard frame's payload (decompressing if marked)."""
         if flags & FLAG_COMPRESSED:
+            # Bounded: a few KiB of deflate must not inflate past max_frame.
+            inflater = zlib.decompressobj()
             try:
-                payload = zlib.decompress(payload)
+                payload = inflater.decompress(payload, self.max_frame)
             except zlib.error as exc:
                 raise SerializationError(f"corrupt compressed payload: {exc}") from exc
+            if inflater.unconsumed_tail or not inflater.eof:
+                raise SerializationError(
+                    f"compressed payload does not inflate to a whole frame "
+                    f"within max_frame={self.max_frame}"
+                )
         return self.codec.decode(payload)
 
     def unframe(self, frame: ReadableBuffer) -> Message:

@@ -22,7 +22,7 @@ import sys
 import threading
 from typing import TYPE_CHECKING, Optional
 
-from ..core.component import Component, ComponentCore, ComponentDefinition
+from ..core.component import Component, ComponentCore, ComponentDefinition, _execution
 from ..core.dispatch import trigger
 from ..core.errors import ConfigurationError
 from ..core.lifecycle import Init, Start, Stop
@@ -138,7 +138,12 @@ class ComponentSystem:
             return
         with self._quiet:
             self._active += 1
-        self.scheduler.schedule(component)
+        # A thread inside deliver_and_run (an I/O loop) runs it itself.
+        claimed = _execution.claimed
+        if claimed is not None:
+            claimed.append(component)
+        else:
+            self.scheduler.schedule(component)
 
     def component_idle(self, component: ComponentCore) -> None:
         if self._single_threaded:

@@ -64,8 +64,12 @@ class _Worker(threading.Thread):
             component = self.pop() or self.steal()
             if component is None:
                 with scheduler.condition:
+                    # Counted before the queue is looked at: a push that
+                    # finds no sleeper happened before this check saw it.
+                    scheduler.sleeping += 1
                     if scheduler.running and not self.ready:
                         scheduler.condition.wait(timeout=scheduler.idle_wait)
+                    scheduler.sleeping -= 1
                 continue
             self.executed_slots += 1
             if component.execute(scheduler.throughput):
@@ -121,6 +125,9 @@ class WorkStealingScheduler(Scheduler):
         self.idle_wait = idle_wait
         self.workers: list[_Worker] = []
         self.condition = threading.Condition()
+        #: Workers inside (or about to enter) the idle wait; written under
+        #: ``condition``, read without it by schedule().
+        self.sleeping = 0
         self.running = False
         # itertools.count: atomic under the GIL, unlike a read-modify-write
         # on an int — several external threads (network, timers) may place
@@ -165,8 +172,9 @@ class WorkStealingScheduler(Scheduler):
             # External thread (network/timer/main): round-robin placement.
             index = next(self._placement) % len(self.workers)
             self.workers[index].push(component)
-        with self.condition:
-            self.condition.notify()
+        if self.sleeping:
+            with self.condition:
+                self.condition.notify()
 
     def shutdown(self, wait: bool = True) -> None:
         self.running = False

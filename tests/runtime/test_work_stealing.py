@@ -145,3 +145,35 @@ def test_shutdown_is_idempotent():
     system.bootstrap(Scaffold, lambda scaffold: None)
     system.shutdown()
     system.scheduler.shutdown()
+
+
+def test_a_sleeping_worker_is_woken_at_once_by_a_foreign_thread():
+    """schedule() notifies only when a worker is asleep; none may be missed.
+
+    With a 10 s idle wait, a missed wake-up would stall a round trip for
+    seconds: every one of these must finish while the workers idle between.
+    """
+    system = ComponentSystem(
+        scheduler=WorkStealingScheduler(workers=2, idle_wait=10.0), fault_policy="record"
+    )
+    built = {}
+
+    def build(scaffold):
+        built["server"] = scaffold.create(EchoServer)
+        built["client"] = scaffold.create(Collector, count=0)
+        scaffold.connect(
+            built["server"].provided(PingPort), built["client"].required(PingPort)
+        )
+
+    system.bootstrap(Scaffold, build)
+    client = built["client"].definition
+    try:
+        assert wait_until(lambda: system.scheduler.sleeping == 2, timeout=5)
+        for n in range(30):
+            client.trigger(Ping(n), client.port)  # from this (foreign) thread
+            assert wait_until(lambda: len(client.pongs) == n + 1, timeout=2, interval=0.0005)
+            assert wait_until(lambda: system.scheduler.sleeping == 2, timeout=2)
+        assert [p.n for p in client.pongs] == list(range(30))
+    finally:
+        system.shutdown()
+    assert system.scheduler.sleeping == 0

@@ -9,6 +9,7 @@ reassemble exactly the messages a whole-buffer decode yields, in order.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 import pytest
@@ -22,7 +23,7 @@ from repro.network import (
     SerializationError,
     local_address,
 )
-from repro.network.serialization import _HEADER, FLAG_BATCH
+from repro.network.serialization import _HEADER, FLAG_BATCH, FLAG_COMPRESSED
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,24 @@ def test_oversized_frame_rejected():
     assert isinstance(parser.failed, SerializationError)
     with pytest.raises(SerializationError):  # the stream is over
         parser.feed(b"")
+
+
+def test_compressed_payload_inflating_past_max_frame_rejected():
+    """A few KiB of deflate must not inflate to any size on the reader."""
+    codec = FrameCodec(CompactCodec(), max_frame=1 << 20)
+    # A well-formed message, 10 MiB once inflated: only the bound stops it.
+    inner = codec.codec.encode(Blob(A, B, payload=bytes(10 << 20)))
+    bomb = zlib.compress(inner, 9)
+    assert len(bomb) < 12 * 1024
+    with pytest.raises(SerializationError, match="max_frame"):
+        codec.decode_payload(FLAG_COMPRESSED, bomb)
+    parser = FrameStreamParser(codec)
+    good = Blob(A, B, n=1, payload=b"compressible " * 100)
+    assert parser.feed(codec.frame(good) + _HEADER.pack(len(bomb), FLAG_COMPRESSED) + bomb) == [good]
+    assert isinstance(parser.failed, SerializationError)
+    # A truncated deflate stream is refused too, not decoded in part.
+    with pytest.raises(SerializationError):
+        codec.decode_payload(FLAG_COMPRESSED, zlib.compress(codec.codec.encode(good))[:-8])
 
 
 def test_truncated_batch_rejected():
