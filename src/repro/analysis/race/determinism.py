@@ -49,10 +49,13 @@ def _run_once(
     sim = Simulation(seed=seed, fault_policy="raise")
     tracer = Tracer(capacity=1_000_000)
     sim.system.tracer = tracer
-    check = scenario(sim)
-    status = sim.run(until=until, max_dispatches=max_dispatches)
-    if check is not None:
-        check()
+    try:
+        check = scenario(sim)
+        status = sim.run(until=until, max_dispatches=max_dispatches)
+        if check is not None:
+            check()
+    finally:
+        sim.system.tracer = None
     return tracer, status
 
 

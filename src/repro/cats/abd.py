@@ -126,6 +126,8 @@ class _Op:
     view: Optional[View] = None
     read_replies: dict[Address, ReadResponse] = field(default_factory=dict)
     write_acks: set[Address] = field(default_factory=set)
+    #: members that rejected this attempt's view (see on_view_rejected)
+    rejections: set[Address] = field(default_factory=set)
     pending_record: Optional[Record] = None
     done: bool = False
     timeout_id: int = 0  # the current attempt's OpTimeout, cancelled on completion
@@ -759,6 +761,7 @@ class ConsistentAbd(ComponentDefinition):
         op.view = None
         op.read_replies.clear()
         op.write_acks.clear()
+        op.rejections.clear()
         op.pending_record = None
         if op.attempt > self.max_retries:
             self._fail(op, "retries exhausted")
@@ -846,8 +849,15 @@ class ConsistentAbd(ComponentDefinition):
     @handles(ViewRejected)
     def on_view_rejected(self, message: ViewRejected) -> None:
         op = self._ops.get(message.op_id)
-        if op is not None and not op.done:
-            self._schedule_retry(op)
+        if op is None or op.done:
+            return
+        if op.phase in ("read", "write") and op.view is not None:
+            # A member that does not serve the view (say, it never got the
+            # commit) only matters once the rest can no longer make a quorum.
+            op.rejections.add(message.source)
+            if len(op.view.members) - len(op.rejections) >= op.view.quorum:
+                return
+        self._schedule_retry(op)
 
     @handles(ReadResponse)
     def on_read_response(self, message: ReadResponse) -> None:

@@ -19,6 +19,7 @@ locks to protect component-local state.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import threading
 from collections import deque
@@ -60,8 +61,8 @@ _log = logging.getLogger("repro.core")
 class _Execution(threading.local):
     """Per thread: is a handler executing here, and what runs when it returns.
 
-    ``running`` is set by :meth:`ComponentCore.execute` and
-    :meth:`ComponentCore.execute_slot` around each work item; ``deferred``
+    ``running`` is set by :meth:`ComponentCore.execute` around the work
+    items it runs, whichever lock strategy the system chose; ``deferred``
     holds the ``{key: fn}`` calls that :func:`after_handler` registered
     while it ran, run (and cleared) as the item returns.  ``claimed``,
     while :func:`deliver_and_run` runs, collects the components made ready
@@ -159,8 +160,8 @@ class ExecutionState:
     BUSY = 2
 
 
-# Hot-path locals: the single-threaded execution path compares these on
-# every enqueue/execute; module globals skip two attribute loads each.
+# Hot-path locals: the state machine compares these on every enqueue and
+# execute; module globals skip two attribute loads each.
 _IDLE = ExecutionState.IDLE
 _READY = ExecutionState.READY
 _BUSY = ExecutionState.BUSY
@@ -168,7 +169,9 @@ _DESTROYED = LifecycleState.DESTROYED
 _FAULTY = LifecycleState.FAULTY
 _PASSIVE = LifecycleState.PASSIVE
 _ACTIVE = LifecycleState.ACTIVE
-_LIFECYCLE = (Init, Start, Stop)
+#: What the cold paths enter when the system's lock strategy is "no lock":
+#: ``with self._lock or _UNLOCKED:``.
+_UNLOCKED = contextlib.nullcontext()
 
 
 class ComponentDefinition:
@@ -408,7 +411,6 @@ class ComponentCore:
         "_qhead",
         "_buffer",
         "_lock",
-        "_single_threaded",
         "_needs_init",
         "_init_received",
         "_fast_admit",
@@ -459,16 +461,16 @@ class ComponentCore:
         #: list, not a deque — it only ever appends, drains wholesale in
         #: _flush_buffer_locked, and sits empty for a component's lifetime.
         self._buffer: list[WorkItem] = []
-        self._lock = threading.Lock()
-        # Under a single-threaded scheduler (deterministic simulation) every
-        # state transition happens on the driving thread, so the hot paths
-        # skip the lock entirely (see _enqueue and execute_slot).
-        self._single_threaded = getattr(system, "_single_threaded", False)
+        #: The system's lock strategy (see ``ComponentSystem``): a lock
+        #: guarding every state transition, or None where one thread makes
+        #: them all (the ManualScheduler), and the machine takes no lock.
+        make_lock = system._lock_strategy
+        self._lock = make_lock() if make_lock is not None else None
         self._needs_init = False
         self._init_received = False
-        # Cached admission verdict for receive_event's fast path: True only
-        # while "single-threaded, initialized, started, healthy" is known to
-        # hold.  Set lazily after one full check passes; cleared at every
+        # Cached admission verdict of _enqueue: True only while
+        # "initialized, started, healthy" is known to hold.  Set (under the
+        # lock) after one full check passes; cleared under the lock at every
         # transition that can change the answer (stop, fault, destroy, a
         # late Init subscription).  A stale False is merely slow; the
         # clearing sites keep True from ever going stale.
@@ -515,44 +517,15 @@ class ComponentCore:
             and face.is_inside
             and issubclass(subscription.event_type, Init)
         ):
-            self._needs_init = True
-            self._fast_admit = False
+            with self._lock or _UNLOCKED:
+                self._needs_init = True
+                self._fast_admit = False
 
     # --------------------------------------------------------------- delivery
 
     def receive_event(self, event: Event, face: PortFace) -> None:
-        """Enqueue an event delivered at ``face`` (called by dispatch).
-
-        Inlines the single-threaded branch of :meth:`_enqueue` (including
-        ``ComponentSystem.component_ready``) for the started, initialized,
-        healthy component — every delivered simulation event lands here.
-        """
-        item = WorkItem(event, face, (), face.is_control)
-        if not self._fast_admit:
-            if not self._single_threaded:
-                self._enqueue(item)
-                return
-            state = self.state
-            if state is _DESTROYED:
-                return
-            if (
-                (not self._init_received and self._needs_init)
-                or state is _PASSIVE
-                or state is _FAULTY
-            ):
-                self._enqueue(item)
-                return
-            self._fast_admit = True
-        self._queue.append(item)
-        if self._exec_state == _IDLE:
-            self._exec_state = _READY
-            # component_ready, inlined (single-threaded branch).
-            system = self.system
-            if system._single_threaded:
-                system._active += 1
-                system.scheduler.schedule(self)
-            else:
-                system.component_ready(self)
+        """Enqueue an event delivered at ``face`` (called by dispatch)."""
+        self._enqueue(WorkItem(event, face, (), face.is_control))
 
     def receive_direct(self, event: Event, face: PortFace) -> None:
         """Deliver a request at a face with a direct entry (called by plans).
@@ -589,43 +562,44 @@ class ComponentCore:
         self._enqueue(WorkItem(event, None, handlers, is_control))
 
     def _enqueue(self, item: WorkItem) -> None:
-        if self._single_threaded:
-            state = self.state
-            if state is _DESTROYED:
-                return
-            # Inlined _admissible fast path: a started, initialized, healthy
-            # component admits everything (the overwhelmingly common case).
-            if (
-                (self._init_received or not self._needs_init)
-                and state is not _PASSIVE
-                and state is not _FAULTY
-            ):
-                self._queue.append(item)
-                if self._exec_state == _IDLE:
-                    self._exec_state = _READY
-                    self.system.component_ready(self)
-                return
-            if not self._admissible(item):
-                self._buffer.append(item)
-                return
+        """Admit ``item`` into the queue and make an IDLE component READY.
+
+        The one entry into the work queue, under the lock when the system's
+        strategy has one.  A started, initialized, healthy component admits
+        everything, which ``_fast_admit`` caches; otherwise :meth:`_admit`
+        decides, buffering or dropping what may not run yet.
+        """
+        lock = self._lock
+        if lock is not None:
+            lock.acquire()
+        if self._fast_admit or self._admit(item):
             self._queue.append(item)
             if self._exec_state == _IDLE:
                 self._exec_state = _READY
+                if lock is not None:
+                    lock.release()
                 self.system.component_ready(self)
-            return
-        must_schedule = False
-        with self._lock:
-            if self.state is LifecycleState.DESTROYED:
                 return
-            if not self._admissible(item):
-                self._buffer.append(item)
-                return
-            self._queue.append(item)
-            if self._exec_state == ExecutionState.IDLE:
-                self._exec_state = ExecutionState.READY
-                must_schedule = True
-        if must_schedule:
-            self.system.component_ready(self)
+        if lock is not None:
+            lock.release()
+
+    def _admit(self, item: WorkItem) -> bool:
+        """Admission off the cached path (lock held): may ``item`` be queued?
+
+        Drops an item that reaches a destroyed component and buffers one
+        that must wait for a life-cycle transition (both return False);
+        caches the verdict "admit everything" once it holds.
+        """
+        state = self.state
+        if state is _DESTROYED:
+            return False
+        if not self._admissible(item):
+            self._buffer.append(item)
+            return False
+        self._fast_admit = state is _ACTIVE and (
+            self._init_received or not self._needs_init
+        )
+        return True
 
     def _popleft(self) -> WorkItem:
         """Pop the next work item; reset the list whenever it drains.
@@ -674,110 +648,87 @@ class ComponentCore:
 
         Returns True if the component is still READY (the caller must
         requeue it), False if it went idle.  Called only by schedulers; the
-        BUSY state guarantees handler mutual exclusion.  READY→BUSY and the
-        first pop share one lock acquisition, so one event costs two.
+        BUSY state guarantees handler mutual exclusion, and a handler that
+        triggers on its own component sees BUSY, so ``_enqueue`` does not
+        schedule it twice.  Under a lock, READY→BUSY shares an acquisition
+        with the first pop, each later pop with the check after the event
+        before it, and BUSY→READY/IDLE with the last check: one event costs
+        two.  Only control-port items (Init, Start, Stop, a child's Fault)
+        reach :meth:`_run_control`.
         """
-        stopped_states = (LifecycleState.DESTROYED, LifecycleState.FAULTY)
-        with self._lock:
-            if self._exec_state != ExecutionState.READY:
-                return False
-            self._exec_state = ExecutionState.BUSY
-            live = self._queue and self.state not in stopped_states
-            item = self._popleft() if live else None
-
+        lock = self._lock
+        if lock is not None:
+            lock.acquire()
+        if self._exec_state != _READY:
+            if lock is not None:
+                lock.release()
+            return False
+        self._exec_state = _BUSY
         executed = 0
         ctx = _execution
         outer = ctx.running
         ctx.running = True
         try:
-            while item is not None:
-                self._execute_item(item)
+            while True:  # the lock, if any, is held at the top
+                state = self.state  # a handler may have faulted or destroyed us
+                stopped = not self._queue or state is _DESTROYED or state is _FAULTY
+                if stopped or executed >= max_events:
+                    self._exec_state = _IDLE if stopped else _READY
+                    break
+                item = self._popleft()
+                if lock is not None:
+                    lock.release()
+                obs = observe.observer
+                if obs is not None:
+                    obs.begin(self, item)
+                try:
+                    if item.is_control:
+                        self._run_control(item)
+                    else:
+                        self._run_handlers(item)
+                finally:
+                    if obs is not None:
+                        obs.end(self, item)
                 if ctx.deferred:
                     ctx.run_deferred()
                 executed += 1
-                if executed >= max_events:
-                    break
-                with self._lock:
-                    if self.state in stopped_states or not self._queue:
-                        break
-                    item = self._popleft()
+                if lock is not None:
+                    lock.acquire()
         finally:
             ctx.running = outer
-
-        with self._lock:
-            if self.state in stopped_states or not self._queue:
-                self._exec_state = ExecutionState.IDLE
-                still_ready = False
-            else:
-                self._exec_state = ExecutionState.READY
-                still_ready = True
-        if not still_ready:
+        if lock is not None:
+            lock.release()
+        if stopped:
             self.system.component_idle(self)
-        return still_ready
+        return not stopped
 
-    def execute_slot(self) -> bool:
-        """Single-threaded :meth:`execute` with ``max_events=1``.
-
-        Same state transitions and return contract, but without the three
-        lock round-trips — only the ManualScheduler's drain calls this, and
-        there every transition happens on the driving thread.  The BUSY
-        guard still matters: handlers triggering on their own component must
-        see a non-IDLE state so _enqueue does not double-schedule.
-        """
-        if self._exec_state != _READY:
-            return False
-        self._exec_state = _BUSY
-        queue = self._queue
-        state = self.state
-        if queue and state is not _DESTROYED and state is not _FAULTY:
-            item = self._popleft()
-            ctx = _execution
-            outer = ctx.running
-            ctx.running = True
-            try:
-                if self.system.tracer is not None or observe.observer is not None:
-                    self._execute_item(item)  # instrumented path (tracer/observers)
-                elif isinstance(item.event, _LIFECYCLE):
-                    self._dispatch_item(item)
-                else:
-                    self._run_handlers(item)
-                if ctx.deferred:
-                    ctx.run_deferred()
-            finally:
-                ctx.running = outer
-            state = self.state  # the handler may have faulted or destroyed us
-        if queue and state is not _DESTROYED and state is not _FAULTY:
-            self._exec_state = _READY
-            return True
-        self._exec_state = _IDLE
-        self.system.component_idle(self)
-        return False
-
-    def _execute_item(self, item: WorkItem) -> None:
-        event = item.event
-        tracer = self.system.tracer
-        if tracer is not None:
-            tracer.record(
-                self.system.clock.now(), self.name, type(event).__name__
-            )
-        obs = observe.observer
-        if obs is not None:
-            obs.begin(self, item)
-            try:
-                self._dispatch_item(item)
-            finally:
-                obs.end(self, item)
-            return
-        self._dispatch_item(item)
-
-    def _dispatch_item(self, item: WorkItem) -> None:
+    def _run_control(self, item: WorkItem) -> None:
+        """Run a control-port item: a life-cycle event or a child's Fault."""
         event = item.event
         if isinstance(event, Init):
-            self._handle_init(item)
+            self._run_handlers(item)
+            with self._lock or _UNLOCKED:
+                self._init_received = True
+                self._flush_buffer_locked()
         elif isinstance(event, Start):
-            self._handle_start(item)
+            if self.state is _ACTIVE:
+                return
+            with self._lock or _UNLOCKED:
+                self.state = _ACTIVE
+            self._run_handlers(item)
+            for child in tuple(self.children):
+                dispatch.trigger(Start(), child.control_port.outside)
+            with self._lock or _UNLOCKED:
+                self._flush_buffer_locked()
         elif isinstance(event, Stop):
-            self._handle_stop(item)
+            if self.state is not _ACTIVE:
+                return
+            self._run_handlers(item)
+            with self._lock or _UNLOCKED:
+                self.state = _PASSIVE
+                self._fast_admit = False
+            for child in tuple(self.children):
+                dispatch.trigger(Stop(), child.control_port.outside)
         else:
             self._run_handlers(item)
 
@@ -825,37 +776,10 @@ class ComponentCore:
 
     def _fault(self, exc: BaseException, event: Event) -> None:
         """Wrap an uncaught handler exception per paper section 2.5."""
-        with self._lock:
-            self.state = LifecycleState.FAULTY
+        with self._lock or _UNLOCKED:
+            self.state = _FAULTY
             self._fast_admit = False
         escalate(Fault(exc, self, event))
-
-    def _handle_init(self, item: WorkItem) -> None:
-        self._run_handlers(item)
-        with self._lock:
-            self._init_received = True
-            self._flush_buffer_locked()
-
-    def _handle_start(self, item: WorkItem) -> None:
-        if self.state is LifecycleState.ACTIVE:
-            return
-        with self._lock:
-            self.state = LifecycleState.ACTIVE
-        self._run_handlers(item)
-        for child in tuple(self.children):
-            dispatch.trigger(Start(), child.control_port.outside)
-        with self._lock:
-            self._flush_buffer_locked()
-
-    def _handle_stop(self, item: WorkItem) -> None:
-        if self.state is not LifecycleState.ACTIVE:
-            return
-        self._run_handlers(item)
-        with self._lock:
-            self.state = LifecycleState.PASSIVE
-            self._fast_admit = False
-        for child in tuple(self.children):
-            dispatch.trigger(Stop(), child.control_port.outside)
 
     # ----------------------------------------------------------- reconfig ops
 
@@ -866,7 +790,7 @@ class ComponentCore:
         in-queue events from a component being replaced to its successor,
         so that reconfiguration drops no triggered events.
         """
-        with self._lock:
+        with self._lock or _UNLOCKED:
             items = [*self._queue[self._qhead :], *self._buffer]
             self._queue.clear()
             self._qhead = 0
@@ -876,23 +800,23 @@ class ComponentCore:
     def recover(self) -> None:
         """Clear a FAULTY state and resume executing queued events."""
         must_schedule = False
-        with self._lock:
-            if self.state is not LifecycleState.FAULTY:
+        with self._lock or _UNLOCKED:
+            if self.state is not _FAULTY:
                 raise LifecycleError(f"{self.name} is not faulty")
-            self.state = LifecycleState.ACTIVE
+            self.state = _ACTIVE
             self._flush_buffer_locked()
-            if self._queue and self._exec_state == ExecutionState.IDLE:
-                self._exec_state = ExecutionState.READY
+            if self._queue and self._exec_state == _IDLE:
+                self._exec_state = _READY
                 must_schedule = True
         if must_schedule:
             self.system.component_ready(self)
 
     def destroy(self) -> None:
         """Destroy this component, its subtree and all attached channels."""
-        with self._lock:
-            if self.state is LifecycleState.DESTROYED:
+        with self._lock or _UNLOCKED:
+            if self.state is _DESTROYED:
                 return
-            self.state = LifecycleState.DESTROYED
+            self.state = _DESTROYED
             self._fast_admit = False
             self._queue.clear()
             self._qhead = 0
@@ -921,7 +845,7 @@ class ComponentCore:
 
     @property
     def pending_events(self) -> int:
-        with self._lock:
+        with self._lock or _UNLOCKED:
             return len(self._queue) - self._qhead + len(self._buffer)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -5,10 +5,18 @@ Every hook site reads :data:`observer` once and tests it against
 fan-out over several, which runs the closing hooks (``end``, ``fire_end``)
 in reverse attach order so bracketing observers nest without knowing
 about each other.  A site calls both halves of a pair on what it read.
+
+An observer that belongs to one component system (a tracer, set with
+``system.tracer = ...``) detaches itself when that system is collected.
+A system dropped without detaching it lives on in reference cycles until
+the collector runs, so while one is attached, :func:`attach` and
+:func:`detach` collect garbage first: the slot they publish holds no
+observer of a dropped system.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 from typing import Optional
 
@@ -31,6 +39,8 @@ class Observer:
 
     triggered = begin = end = channel_op = transferred = _ignore
     scheduled = fire_begin = fire_end = _ignore
+    #: True for an observer of one component system (see the module doc).
+    system_bound = False
 
 
 def _each(hook: str, reverse: bool = False):
@@ -63,11 +73,14 @@ class _FanOut(Observer):
 observer: Optional[Observer] = None
 
 _attached: tuple[Observer, ...] = ()
-_lock = threading.Lock()
+#: Reentrant: a tracer detaches itself from a garbage-collector callback,
+#: which may run inside the allocations of an attach or detach holding it.
+_lock = threading.RLock()
 
 
 def attach(obs: Observer) -> None:
     """Add ``obs`` to the seam, after every observer already attached."""
+    _collect_dropped_systems(obs)
     with _lock:
         if obs in _attached:
             raise ValueError(f"{obs!r} is already attached")
@@ -76,16 +89,22 @@ def attach(obs: Observer) -> None:
 
 def detach(obs: Observer) -> None:
     """Remove ``obs`` from the seam (a no-op when it is not attached)."""
+    _collect_dropped_systems(obs)
     with _lock:
         _publish(tuple(o for o in _attached if o is not obs))
 
 
+def _collect_dropped_systems(obs: Observer) -> None:
+    if any(o.system_bound and o is not obs for o in _attached):
+        gc.collect()  # a no-op when called back from inside a collection
+
+
 def _publish(observers: tuple[Observer, ...]) -> None:
     global observer, _attached
-    _attached = observers
     if not observers:
-        observer = None
+        slot = None
     elif len(observers) == 1:
-        observer = observers[0]
+        slot = observers[0]
     else:
-        observer = _FanOut(observers)
+        slot = _FanOut(observers)
+    _attached, observer = observers, slot

@@ -96,10 +96,10 @@ class ManualScheduler(Scheduler):
 
         Executes exactly the slots :meth:`run_to_quiescence` would (it
         falls back to it when a picker or a non-default throughput is
-        installed), but through the lock-light single-threaded
-        :meth:`~repro.core.component.ComponentCore.execute_slot` — the
-        simulation loop calls this once per timed dispatch, so the slot
-        machinery is the hottest code in the simulator.
+        installed) through ``ComponentCore.execute``, which takes no lock
+        under this scheduler — the simulation loop calls this once per
+        timed dispatch, so the slot machinery is the hottest code in the
+        simulator.
         """
         if self.picker is not None or self.throughput != 1:
             return self.run_to_quiescence()
@@ -107,7 +107,7 @@ class ManualScheduler(Scheduler):
         slots = 0
         while ready:
             component = ready.popleft()
-            if component.execute_slot():
+            if component.execute():
                 ready.append(component)
             slots += 1
         return slots

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random as random_module
 import sys
 import threading
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..core.component import Component, ComponentCore, ComponentDefinition, _execution
 from ..core.dispatch import trigger
@@ -32,6 +32,7 @@ from .work_stealing import WorkStealingScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.fault import Fault
+    from .trace import Tracer
 
 FAULT_POLICIES = ("halt", "record", "raise")
 
@@ -63,8 +64,7 @@ class ComponentSystem:
         self.unhandled_faults: list["Fault"] = []
         self.services: dict[str, object] = {}
         self.halted = False
-        #: optional execution tracer (see repro.runtime.trace.Tracer).
-        self.tracer = None
+        self._tracer: Optional["Tracer"] = None
         self._component_sequence = 0
         #: Serializes compile-and-publish with invalidation in
         #: :mod:`repro.core.routing`; taken only on ``trigger``'s miss path
@@ -77,10 +77,13 @@ class ComponentSystem:
         self.plans_invalidated = 0
         self._active = 0
         self._quiet = threading.Condition()
-        #: With the ManualScheduler every ready/idle transition happens on
-        #: the single driving thread, so the scheduler bridge skips the
-        #: condition lock (await_quiescence never waits in manual mode).
-        self._single_threaded = isinstance(self.scheduler, ManualScheduler)
+        #: The lock strategy of the component state machine, chosen once
+        #: from the scheduler type: under a ManualScheduler one thread makes
+        #: every transition, so cores take no lock (None) and the scheduler
+        #: bridge skips the condition lock; otherwise each core makes a lock.
+        self._lock_strategy: Optional[Callable[[], object]] = (
+            None if isinstance(self.scheduler, ManualScheduler) else threading.Lock
+        )
 
     # -------------------------------------------------------------- bootstrap
 
@@ -103,8 +106,24 @@ class ComponentSystem:
         trigger(Start(), root.control_port.outside)
         return root.component
 
+    @property
+    def tracer(self) -> Optional["Tracer"]:
+        """This system's :class:`~repro.runtime.trace.Tracer`, or None;
+        setting one attaches it to the observer seam, None detaches it."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Optional["Tracer"]) -> None:
+        if self._tracer is not None:
+            self._tracer.unbind()
+            self._tracer = None
+        if tracer is not None:
+            tracer.bind(self)
+            self._tracer = tracer
+
     def shutdown(self, wait: bool = True) -> None:
-        """Stop all roots, destroy the hierarchy, stop the scheduler."""
+        """Stop all roots, destroy the hierarchy, stop the scheduler, and
+        detach the tracer."""
         for root in tuple(self.roots):
             trigger(Stop(), root.control_port.outside)
         self.await_quiescence(timeout=2.0)
@@ -116,6 +135,7 @@ class ComponentSystem:
             if callable(close):
                 close()
         self.scheduler.shutdown(wait=wait)
+        self.tracer = None
 
     # -------------------------------------------------------------- services
 
@@ -132,7 +152,7 @@ class ComponentSystem:
     # ------------------------------------------------------- scheduler bridge
 
     def component_ready(self, component: ComponentCore) -> None:
-        if self._single_threaded:
+        if self._lock_strategy is None:
             self._active += 1
             self.scheduler.schedule(component)
             return
@@ -146,7 +166,7 @@ class ComponentSystem:
             self.scheduler.schedule(component)
 
     def component_idle(self, component: ComponentCore) -> None:
-        if self._single_threaded:
+        if self._lock_strategy is None:
             self._active -= 1
             return
         with self._quiet:

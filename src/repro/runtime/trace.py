@@ -7,6 +7,11 @@ records ``(time, component, event type)`` for every executed work item,
 giving deterministic, diffable execution traces in simulation and
 best-effort traces in production.
 
+A tracer is an observer on :mod:`repro.core.observe`: ``system.tracer =
+tracer`` attaches it, and it records that system's executions only;
+``system.tracer = None``, ``shutdown()`` or the system's collection
+detach it, so an untraced run pays for no tracer.
+
 ``record`` is safe under concurrent work-stealing workers: appends and the
 ``recorded``/``dropped`` counters are serialized by a lock, so counts are
 exact and no entry is lost to a torn read-modify-write.
@@ -25,9 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+from ..core import observe
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,8 +50,10 @@ class TraceEntry:
         return f"[{self.time:12.6f}] {self.component:<30} {self.event_type}"
 
 
-class Tracer:
-    """Bounded in-memory trace of handler executions."""
+class Tracer(observe.Observer):
+    """Bounded in-memory trace of one system's handler executions."""
+
+    system_bound = True
 
     def __init__(
         self,
@@ -55,6 +65,22 @@ class Tracer:
         self.recorded = 0
         self.dropped = 0
         self._lock = threading.Lock()
+        self._system: Optional[weakref.ref] = None
+
+    def bind(self, system) -> None:
+        """Attach to the seam for ``system`` (``system.tracer = self``),
+        which is held weakly and detaches the tracer when collected."""
+        observe.attach(self)  # raises while this tracer traces a system
+        self._system = weakref.ref(system, lambda _ref: observe.detach(self))
+
+    def unbind(self) -> None:
+        self._system = None  # drops the collection callback
+        observe.detach(self)
+
+    def begin(self, core, item) -> None:
+        system = core.system
+        if system.tracer is self:
+            self.record(system.clock.now(), core.name, type(item.event).__name__)
 
     def record(self, time: float, component: str, event_type: str) -> None:
         if self.event_filter is not None and not self.event_filter(

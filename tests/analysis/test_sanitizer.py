@@ -10,7 +10,7 @@ import pytest
 from repro import ComponentDefinition, Event, PortType, Start, handles
 from repro.analysis import is_enabled, sanitized
 from repro.analysis import sanitizer
-from repro.core.component import WorkItem
+from repro.core.component import ExecutionState
 from repro.core.dispatch import trigger
 from repro.core.errors import EventMutationError, ReentrancyError, SanitizerError
 
@@ -168,7 +168,15 @@ class Reentrant(ComponentDefinition):
 
     @handles(Note)
     def on_note(self, event: Note) -> None:
-        self.core._execute_item(WorkItem(event, None, (), False))
+        barge_in(self.core, event)
+
+
+def barge_in(core, event: Note) -> None:
+    """Execute ``event`` at ``core`` as a scheduler that lost its BUSY state
+    would: queue it behind a forced READY and call ``execute``."""
+    core._exec_state = ExecutionState.READY
+    core.receive_work(event, (), False)
+    core.execute()
 
 
 def test_s002_reentrant_handler_execution_is_caught():
@@ -227,7 +235,7 @@ def test_s002_concurrent_execution_from_second_thread_is_caught():
         # A second thread invading the same component's execution is the
         # scheduler-bypass race the monitor exists to catch.
         with pytest.raises(ReentrancyError) as err:
-            core._execute_item(WorkItem(Note("b"), None, (), False))
+            barge_in(core, Note("b"))
         definition.release.set()
         worker.join(timeout=5)
     assert "two threads" in str(err.value) or "concurrently" in str(err.value)

@@ -13,7 +13,13 @@ import pytest
 from repro.cats import KeySpace
 from repro.cats.abd import ConsistentAbd, ViewStatus
 from repro.cats.events import (
+    GroupRequest,
+    GroupResponse,
+    PutGet,
+    PutRequest,
+    PutResponse,
     ReadRequest,
+    ReadResponse,
     Ring,
     RingNeighbors,
     ViewCommit,
@@ -21,8 +27,11 @@ from repro.cats.events import (
     ViewPrepareAck,
     ViewPrepareReject,
     ViewRejected,
+    WriteRequest,
+    WriteResponse,
 )
 from repro.network import Network
+from repro.protocols.router.port import Resolve, Resolved, Router
 from repro.testkit import ComponentHarness
 
 from tests.sim_kit import sim_address
@@ -165,4 +174,51 @@ class TestInstallationQuorums:
         )
         assert PEER_A not in abd.views or abd.views[PEER_A].status is not ViewStatus.ACTIVE
         assert abd.my_view.status is ViewStatus.ACTIVE
+        harness.shutdown()
+
+
+class TestCoordinatorQuorums:
+    """A coordinator restarts an attempt only once its view's quorum is lost."""
+
+    def start_put(self):
+        harness, network, _ring = make_harness()
+        putget, router = harness.probe(PutGet), harness.probe(Router)
+        putget.inject(PutRequest(25_000, "v", op_id=7))
+        router.expect(Resolve)
+        router.inject(Resolved(25_000, PEER_A, request_id=7))
+        network.expect(GroupRequest)
+        network.inject(
+            GroupResponse(
+                PEER_A, ME, key=25_000, op_id=7, primary=PEER_A, view_id=4,
+                members=(PEER_A, PEER_B, ME),
+            )
+        )
+        assert {r.destination for r in network.drain(ReadRequest)} == {PEER_A, PEER_B, ME}
+        return harness, network, putget, router
+
+    def test_one_rejecting_member_leaves_a_quorum_to_finish(self):
+        """A member that never got the view's commit rejects every request
+        of it; the other two members are a majority and finish the put."""
+        harness, network, putget, router = self.start_put()
+        network.inject(ViewRejected(PEER_B, ME, key=25_000, op_id=7))
+        for member in (PEER_A, ME):
+            network.inject(ReadResponse(member, ME, key=25_000, op_id=7))
+        writes = network.drain(WriteRequest)
+        assert {w.destination for w in writes} == {PEER_A, PEER_B, ME}
+        network.inject(ViewRejected(PEER_B, ME, key=25_000, op_id=7))
+        for member in (PEER_A, ME):
+            network.inject(WriteResponse(member, ME, key=25_000, op_id=7))
+        response = putget.expect(PutResponse)
+        assert response.ok and response.op_id == 7
+        assert harness.definition.retries == 0
+        harness.shutdown()
+
+    def test_rejections_that_leave_no_quorum_restart_the_attempt(self):
+        harness, network, putget, router = self.start_put()
+        network.inject(ViewRejected(PEER_B, ME, key=25_000, op_id=7))
+        router.expect_none(Resolve)
+        network.inject(ViewRejected(PEER_A, ME, key=25_000, op_id=7))
+        harness.run(for_=1.0)  # the retry delay
+        assert router.expect(Resolve).request_id == 7
+        assert harness.definition.retries == 1
         harness.shutdown()

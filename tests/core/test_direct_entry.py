@@ -261,8 +261,16 @@ def test_two_workers_and_a_foreign_thread_keep_fifo_per_lane():
         outsider.join(timeout=60)
         assert not outsider.is_alive()
         assert wait_until(lambda: len(sink.log) == 3 * per_lane, timeout=60)
+        # Closing phase: whether the sink was ever idle when a source sent
+        # above depends on how the threads overlapped.  Once everything has
+        # settled it is, so one more send per source takes the entry.
+        assert system.await_quiescence(timeout=60)
+        for source in sources:
+            _send(source, 1)
+        assert wait_until(lambda: len(sink.log) == 3 * per_lane + 2, timeout=60)
         for lane in range(3):
-            assert sink.lane(lane) == list(range(per_lane))
+            sent = per_lane + 1 if lane < len(sources) else per_lane
+            assert sink.lane(lane) == list(range(sent))
         assert sink.via("entry") > 0 and sink.via("mailbox") >= per_lane
         assert not system.unhandled_faults
     finally:

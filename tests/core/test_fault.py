@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ComponentDefinition, Fault, LifecycleState, Start, handles
+from repro import (
+    ComponentDefinition,
+    Fault,
+    LifecycleState,
+    ManualScheduler,
+    Start,
+    WorkStealingScheduler,
+    handles,
+)
 from repro.core.lifecycle import ControlPort
 
 from tests.kit import Collector, Ping, PingPort, Pong, Scaffold, make_system, settle
@@ -61,8 +69,14 @@ def test_handler_exception_is_wrapped_and_delivered_to_parent():
     system.shutdown()
 
 
-def test_faulty_component_stops_executing_until_recovered():
-    system = make_system()
+@pytest.mark.parametrize(
+    "scheduler",
+    [ManualScheduler, lambda: WorkStealingScheduler(workers=2)],
+    ids=["manual", "work-stealing"],
+)
+def test_faulty_component_stops_executing_until_recovered(scheduler):
+    """Under both lock strategies: none, and a lock per component."""
+    system = make_system(scheduler=scheduler())
     built = {}
 
     def build(scaffold):

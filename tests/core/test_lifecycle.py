@@ -1,12 +1,35 @@
-"""Component initialization and life-cycle (paper section 2.4)."""
+"""Component initialization and life-cycle (paper section 2.4).
+
+Every test runs under both lock strategies of the component state
+machine: none (the ManualScheduler) and a lock per component (two
+work-stealing workers).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import ComponentDefinition, Init, LifecycleState, Start, Stop, handles
+import pytest
+
+from repro import (
+    ComponentDefinition,
+    Init,
+    LifecycleState,
+    ManualScheduler,
+    Start,
+    Stop,
+    WorkStealingScheduler,
+    handles,
+)
 
 from tests.kit import Collector, EchoServer, Ping, PingPort, Pong, Scaffold, make_system, settle
+
+
+@pytest.fixture(params=["manual", "work-stealing"])
+def system(request):
+    if request.param == "manual":
+        return make_system(scheduler=ManualScheduler())
+    return make_system(scheduler=WorkStealingScheduler(workers=2))
 
 
 @dataclass(frozen=True)
@@ -60,8 +83,7 @@ def _build_pair(system, init=None, count=1):
     return built
 
 
-def test_init_executes_before_anything_else():
-    system = make_system()
+def test_init_executes_before_anything_else(system):
     built = _build_pair(system, init=MyInit(parameter=42))
     settle(system)
     server = built["server"].definition
@@ -71,9 +93,8 @@ def test_init_executes_before_anything_else():
     system.shutdown()
 
 
-def test_component_with_init_handler_waits_for_init():
+def test_component_with_init_handler_waits_for_init(system):
     """Without an Init event, a needs-init component must not run anything."""
-    system = make_system()
     built = _build_pair(system, init=None)
     settle(system)
     server = built["server"].definition
@@ -88,8 +109,7 @@ def test_component_with_init_handler_waits_for_init():
     system.shutdown()
 
 
-def test_passive_component_buffers_events_until_started():
-    system = make_system()
+def test_passive_component_buffers_events_until_started(system):
     built = {}
 
     def build(scaffold):
@@ -120,13 +140,12 @@ def test_passive_component_buffers_events_until_started():
     system.shutdown()
 
 
-def test_start_and_stop_recurse_through_composites():
+def test_start_and_stop_recurse_through_composites(system):
     class Composite(ComponentDefinition):
         def __init__(self):
             super().__init__()
             self.inner = self.create(EchoServer)
 
-    system = make_system()
     built = {}
 
     def build(scaffold):
@@ -145,8 +164,7 @@ def test_start_and_stop_recurse_through_composites():
     system.shutdown()
 
 
-def test_dynamically_created_component_is_passive_until_started():
-    system = make_system()
+def test_dynamically_created_component_is_passive_until_started(system):
     built = {}
 
     def build(scaffold):
@@ -164,8 +182,7 @@ def test_dynamically_created_component_is_passive_until_started():
     system.shutdown()
 
 
-def test_destroy_removes_component_and_its_channels():
-    system = make_system()
+def test_destroy_removes_component_and_its_channels(system):
     built = _build_pair(system, init=MyInit(1))
     settle(system)
     server_core = built["server"].core

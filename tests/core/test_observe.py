@@ -1,13 +1,15 @@
-"""The observer seam: profiler, race tracker and sanitizer compose.
+"""The observer seam: tracer, profiler, race tracker and sanitizer compose.
 
 Each client attaches to :mod:`repro.core.observe`; whatever the nesting
 or overlap of their lifetimes, each must see exactly what it sees alone,
-and the slot must read ``None`` once the last one detaches.
+and the slot must read ``None`` once the last one detaches.  A tracer
+records its own system's executions only.
 """
 
 from __future__ import annotations
 
 import contextlib
+import gc
 from dataclasses import dataclass
 
 import pytest
@@ -19,9 +21,10 @@ from repro.analysis.race.fixtures import abd_read_write, default_until, racy_sha
 from repro.analysis.race.hb import HBTracker
 from repro.analysis.race.recorder import AccessRecorder
 from repro.core import observe
-from repro.core.component import WorkItem
+from repro.core.component import ExecutionState, WorkItem
 from repro.core.dispatch import trigger
 from repro.core.errors import EventMutationError, ReentrancyError
+from repro.runtime.trace import Tracer
 from repro.simulation import Simulation
 
 from ..kit import Scaffold, make_system
@@ -98,6 +101,85 @@ def test_overlapping_lifetimes(solo):
     assert len(rt.tracker.epochs) == len(alone.tracker.epochs) > solo[1]
 
 
+# -------------------------------------------------------------------- tracer
+
+
+def test_a_tracer_alone_records_every_execution(solo):
+    sim = abd_simulation()
+    tracer = Tracer(capacity=1_000_000)
+    sim.system.tracer = tracer
+    sim.run(until=UNTIL)
+    sim.system.tracer = None
+    assert tracer.recorded == solo[0]
+    assert observe.observer is None
+
+
+def test_a_tracer_records_none_of_another_systems_executions(solo):
+    traced, other = abd_simulation(), abd_simulation()
+    tracer = Tracer(capacity=1_000_000)
+    traced.system.tracer = tracer
+    try:
+        other.run(until=UNTIL / 2)
+        assert tracer.recorded == 0
+        traced.run(until=UNTIL)
+        other.run(until=UNTIL)
+        with pytest.raises(ValueError):
+            other.system.tracer = tracer  # one tracer, one system
+        assert other.system.tracer is None
+    finally:
+        traced.system.tracer = None
+    assert tracer.recorded == solo[0]
+
+
+def test_detaching_the_tracer_empties_the_seam():
+    system = make_system()
+    tracer = Tracer()
+    system.tracer = tracer
+    assert observe.observer is tracer and system.tracer is tracer
+    system.tracer = None
+    assert observe.observer is None and system.tracer is None
+
+    system.tracer = tracer
+    system.bootstrap(Scaffold, lambda scaffold: None)
+    system.await_quiescence()
+    system.shutdown()
+    assert observe.observer is None and system.tracer is None
+    assert tracer.summary()["Start"] == 1
+
+
+def test_a_dropped_traced_system_leaves_the_seam():
+    gc.disable()  # only the seam's own collection may free the system
+    try:
+        sim = Simulation(seed=1)
+        sim.system.tracer = Tracer()
+        del sim  # in reference cycles: alive until the collector runs
+        assert isinstance(observe.observer, Tracer)
+        with race_tracking() as rt:
+            assert observe.observer is rt
+    finally:
+        gc.enable()
+    assert observe.observer is None
+
+
+@pytest.mark.parametrize("tracer_first", [True, False], ids=["trace-outside", "trace-inside"])
+def test_tracer_profile_and_race_tracking_compose(solo, tracer_first):
+    sim = abd_simulation()
+    tracer = Tracer(capacity=1_000_000)
+    with contextlib.ExitStack() as stack:
+        if tracer_first:
+            sim.system.tracer = tracer
+        profiler = stack.enter_context(sim.profile())
+        rt = stack.enter_context(race_tracking(keep_epochs=True))
+        if not tracer_first:
+            sim.system.tracer = tracer
+        sim.run(until=UNTIL)
+        sim.system.tracer = None
+        assert observe.observer is not None
+    assert observe.observer is None
+    assert (executions(profiler), len(rt.tracker.epochs)) == solo
+    assert tracer.recorded == solo[0]
+
+
 def test_fan_out_ends_in_reverse_attach_order():
     calls = []
 
@@ -161,7 +243,11 @@ class Reentrant(ComponentDefinition):
 
     @handles(Note)
     def on_note(self, event: Note) -> None:
-        self.core._execute_item(WorkItem(event, None, (), False))
+        # Re-enter the execution machinery as a scheduler that lost the
+        # BUSY state would: a forced READY, a queued item, execute().
+        self.core._exec_state = ExecutionState.READY
+        self.core.receive_work(event, (), False)
+        self.core.execute()
 
 
 def run_note(definition) -> None:

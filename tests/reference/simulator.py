@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import threading
 from typing import Callable, Optional, Sequence
 
 from repro.core import observe
@@ -98,9 +99,10 @@ class ReferenceSimulation(Simulation):
         super().__init__(**kwargs)
         self.queue = HeapEventQueue()
         self.system.register_service(QUEUE_SERVICE, self.queue)
-        # Take the condition-locked ready/idle transitions and the generic
-        # execute() path.  Before bootstrap: component cores cache the flag.
-        self.system._single_threaded = False
+        # Run the component state machine under a lock, and the
+        # condition-locked ready/idle transitions, as a threaded runtime
+        # does.  Before bootstrap: each core makes its lock at construction.
+        self.system._lock_strategy = threading.Lock
 
     def run(self, until: Optional[float] = None, max_dispatches: Optional[int] = None) -> str:
         self._stop_requested = False

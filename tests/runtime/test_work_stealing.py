@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import pytest
 
-from repro import ComponentDefinition, ComponentSystem, Start, WorkStealingScheduler, handles
+from repro import (
+    ComponentDefinition,
+    ComponentSystem,
+    LifecycleState,
+    Start,
+    Stop,
+    WorkStealingScheduler,
+    handles,
+)
+from repro.core.dispatch import trigger
 from repro.runtime.work_stealing import SingleThreadScheduler
 
-from tests.kit import Collector, EchoServer, Ping, PingPort, Pong, Scaffold, wait_until
+from tests.kit import Collector, EchoServer, Ping, PingPort, Pong, Scaffold, inject, wait_until
 
 
 def make_threaded_system(workers=2, **kwargs):
@@ -177,3 +188,50 @@ def test_a_sleeping_worker_is_woken_at_once_by_a_foreign_thread():
     finally:
         system.shutdown()
     assert system.scheduler.sleeping == 0
+
+
+def test_the_locked_state_machine_loses_no_event_under_contention():
+    """Four workers and five foreign threads on one component, a 10 µs switch
+    interval, and Stop/Start cycles flipping its admission while they send:
+    a lost update of the queue, of IDLE/READY/BUSY or of the cached admission
+    verdict loses a Ping, runs two handlers at once, or strands it READY."""
+    system = make_threaded_system(workers=4)
+    built = {}
+
+    def build(scaffold):
+        built["racer"] = scaffold.create(Racer)
+
+    system.bootstrap(Scaffold, build)
+    racer = built["racer"]
+    control = racer.core.control_port.outside
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+
+        def send() -> None:
+            for n in range(500):
+                inject(racer, PingPort, Ping(n))
+
+        def toggle() -> None:
+            for _ in range(20):
+                trigger(Stop(), control)
+                time.sleep(0.001)
+                trigger(Start(), control)
+                time.sleep(0.001)
+
+        threads = [threading.Thread(target=send) for _ in range(4)]
+        threads.append(threading.Thread(target=toggle))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wait_until(lambda: racer.definition.count == 2000, timeout=60)
+        assert system.await_quiescence(timeout=10)
+        assert racer.state is LifecycleState.ACTIVE
+        assert racer.definition.max_concurrency == 1
+        assert racer.core.pending_events == 0 and system.active_components == 0
+        assert not system.unhandled_faults
+    finally:
+        sys.setswitchinterval(interval)
+        system.shutdown()

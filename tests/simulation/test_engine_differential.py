@@ -19,6 +19,7 @@ that interrupts the run and resumes it.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -93,10 +94,10 @@ def test_explored_schedules_identical_to_the_reference_engine(name, budget, unti
 
 
 def test_the_reference_runs_the_locked_component_paths():
-    """The oracle must exercise the generic locked code, not the
-    single-threaded shortcuts it is the oracle for."""
-    assert Simulation(seed=1).system._single_threaded
-    assert not ReferenceSimulation(seed=1).system._single_threaded
+    """The oracle must run the state machine under the lock strategy of a
+    threaded runtime, not the lock-free one it is the oracle for."""
+    assert Simulation(seed=1).system._lock_strategy is None
+    assert ReferenceSimulation(seed=1).system._lock_strategy is threading.Lock
 
 
 def test_simulation_is_deterministic_across_runs():
