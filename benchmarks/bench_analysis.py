@@ -1,7 +1,8 @@
 """Full-tree analysis speed: the static passes CI pays for on every push.
 
-One timing per pass (lint, flow, dist, mem, par) over ``src`` and
-``examples`` against a *prebuilt* :class:`~repro.analysis.program.Program`
+One timing per pass (its test id names the pass and its rule ids) over
+``src`` and ``examples`` against a *prebuilt*
+:class:`~repro.analysis.program.Program`
 — the rule checks alone, with the scan, the index and every shared facet
 (flow graph, dist model, ...) already in place — then the two numbers
 that add up to what the CI gate costs: loading the program (scan, parse,
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisConfig
+from repro.analysis import RULES, AnalysisConfig
 from repro.analysis.driver import PASSES, run, run_all
 from repro.analysis.program import Program, clear_parse_cache
 
@@ -33,7 +34,12 @@ def program():
     return loaded
 
 
-@pytest.mark.parametrize("name", list(PASSES))
+def _pass_id(name: str) -> str:
+    prefix = PASSES[name].prefix
+    return f"{name}:" + "+".join(r for r in sorted(RULES) if r.startswith(prefix))
+
+
+@pytest.mark.parametrize("name", list(PASSES), ids=_pass_id)
 def test_pass_over_prebuilt_program(benchmark, program, name):
     findings = benchmark(lambda: run(program, (name,), CONFIG)[name])
     assert findings == []

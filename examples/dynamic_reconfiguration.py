@@ -74,7 +74,7 @@ class Client(ComponentDefinition):
     def on_resp(self, resp: EchoResp) -> None:
         # Copy the payload fields out instead of retaining the event;
         # bounded by the 13 requests this demo sends.
-        self.responses.append((resp.n, resp.text))  # repro: noqa[M002]
+        self.responses.append((resp.n, resp.text))
 
     def send(self, n: int) -> None:
         self.trigger(EchoReq(n), self.port)

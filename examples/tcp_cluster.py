@@ -94,12 +94,12 @@ class ClientApp(ComponentDefinition):
     @handles(PutResponse)
     def on_put_response(self, response: PutResponse) -> None:
         # Keyed by op id; bounded by the fixed set of ops this demo issues.
-        self.results[response.op_id] = ("put", response.ok)  # repro: noqa[M002]
+        self.results[response.op_id] = ("put", response.ok)
 
     @handles(GetResponse)
     def on_get_response(self, response: GetResponse) -> None:
         # Keyed by op id; bounded by the fixed set of ops this demo issues.
-        self.results[response.op_id] = (  # repro: noqa[M002]
+        self.results[response.op_id] = (
             "get",
             response.found,
             response.value,

@@ -7,29 +7,24 @@ checker enforce it.
 **Static passes over one program model.**  :mod:`.program` scans the
 given paths once into a :class:`~repro.analysis.program.Program` — parsed
 modules, a name-level class index, and lazily cached facets (flow graph,
-handler map, dist/mem/par models).  :mod:`.driver` runs the rule
+handler map, dist/mem models).  :mod:`.driver` runs the rule
 families over it — registered check functions, one class walk, one
 ``select``/``ignore``/``# repro: noqa`` filter, one sort:
 
-1. **AST lint** (:mod:`.ast_lint` + :mod:`.rules`, ``A001``–``A005``) —
-   handler code that breaks the model's contract: event mutation,
-   blocking calls, cross-component state access, untypeable
-   subscriptions, undeclared trigger types.
-2. **Event flow** (:mod:`.flow`, ``F001``–``F005``) — whole-program join
+1. **AST lint** (:mod:`.ast_lint` + :mod:`.rules`, ``A001``, ``A003``,
+   ``A004``) — handler code that breaks the model's contract: event
+   mutation, cross-component state access, untypeable subscriptions.
+2. **Event flow** (:mod:`.flow`, ``F002``, ``F005``) — whole-program join
    of trigger sites with subscriptions per (port type, direction, event
-   type), including request/response pairing.
-3. **Distribution readiness** (:mod:`.dist`, ``D001``–``D006``) — every
-   event and component can survive a process boundary: payload
-   serializability, isolation escapes, closure captures, state
-   transferability, identity leaks, compact-codec coverage.
-4. **Memory footprint** (:mod:`.mem`, ``M001``–``M006``) — slot coverage
-   over the event/component hierarchy, unbounded per-peer collections,
-   retained events, Address-interning opportunities, dynamic attributes
-   that defeat slots, heavyweight event defaults.
-5. **Shard safety** (:mod:`.par`, ``P001``–``P006``) — single-address-space
-   assumptions that break when subtrees are pinned to worker processes:
-   process-divergent state, reach-through, shard-cut codec gaps, identity
-   affinity, handler-held locks, unpinnable components.
+   type): dead handlers and stale contract vocabulary.
+3. **Distribution readiness** (:mod:`.dist`, ``D001``, ``D004``,
+   ``D006``) — payload serializability, state transferability and
+   compact-codec coverage across a process boundary.
+4. **Memory footprint** (:mod:`.mem`, ``M001``–``M003``, ``M006``) —
+   slot coverage over the event/component hierarchy, unbounded per-peer
+   collections, retained events, heavyweight event defaults.
+5. **Shard safety** (:mod:`.par`, ``P005``, ``P006``) — handler-held
+   locks and components that cannot migrate between worker processes.
 
 **Checks on a live system.**
 

@@ -3,9 +3,9 @@
 The lint reads the shared :class:`~repro.analysis.program.Program` model
 — nothing is imported or executed — and checks each scanned
 ``ComponentDefinition`` subclass against the rules in
-:mod:`repro.analysis.rules` (A001–A005).  What it adds to the model is
-the per-class :class:`ComponentClassContext`: the port attributes and
-the ``subscribe``/``trigger`` call sites of one class body.
+:mod:`repro.analysis.rules` (A001, A003, A004).  What it adds to the
+model is the per-class :class:`ComponentClassContext`: the
+``subscribe`` call sites of one class body.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from .program import (
     COMPONENTS,
     ClassInfo,
     HandlerInfo,
-    ModuleInfo,
     Program,
     ProjectIndex,
-    base_name,
     self_attr,
 )
 
@@ -35,15 +33,8 @@ class ComponentClassContext:
 
     info: ClassInfo
     index: ProjectIndex
-    #: self attribute -> (port type name, provided?) from self.provides/requires
-    ports: dict[str, tuple[str, bool]] = field(default_factory=dict)
-    #: methods referenced by self.subscribe(self.m, ...) -> had event_type kwarg
+    #: every ``self.subscribe(...)`` call in the class body
     subscribe_calls: list[ast.Call] = field(default_factory=list)
-    trigger_calls: list[tuple[ast.Call, ast.FunctionDef]] = field(default_factory=list)
-
-    @property
-    def module(self) -> ModuleInfo:
-        return self.info.module
 
     def handler_methods(self) -> list[HandlerInfo]:
         """Methods that run as event handlers: @handles-decorated or subscribed."""
@@ -69,28 +60,13 @@ def _extract_context(info: ClassInfo, index: ProjectIndex) -> ComponentClassCont
     ctx = ComponentClassContext(info, index)
     for method in info.methods.values():
         for node in ast.walk(method):
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                call = node.value
-                called = self_attr(call.func, "self")
-                if called in ("provides", "requires") and call.args:
-                    port_name = base_name(call.args[0])
-                    if port_name is None:
-                        continue
-                    for target in node.targets:
-                        attr = self_attr(target, "self")
-                        if attr is not None:
-                            ctx.ports[attr] = (port_name, called == "provides")
-            elif isinstance(node, ast.Call):
-                called = self_attr(node.func, "self")
-                if called == "subscribe":
-                    ctx.subscribe_calls.append(node)
-                elif called == "trigger":
-                    ctx.trigger_calls.append((node, method))
+            if isinstance(node, ast.Call) and self_attr(node.func, "self") == "subscribe":
+                ctx.subscribe_calls.append(node)
     return ctx
 
 
 def check_component(program: Program, info: ClassInfo) -> Iterator[tuple]:
-    """Run A001–A005 over one component class (driver hit shape)."""
+    """Run the A rules over one component class (driver hit shape)."""
     from . import rules
 
     ctx = _extract_context(info, program.index)

@@ -44,30 +44,26 @@ _DESCRIPTIONS = {
         "runtime sanitizer (S*) available via the library API."
     ),
     "flow": (
-        "Whole-program static event-flow analysis: checks every "
-        "trigger/subscription against the port-type contracts (rules "
-        "F001-F005) over a program-wide producer/consumer graph."
+        "Whole-program static event-flow analysis over a program-wide "
+        "producer/consumer graph (rules F002 dead handlers, F005 stale "
+        "port contracts)."
     ),
     "dist": (
-        "Whole-program distribution-readiness analysis: proves every "
-        "event and component can survive a process boundary (rules "
-        "D001-D006: payload serializability, isolation escapes, "
-        "closure capture, non-transferable state, identity leaks, "
-        "codec coverage)."
+        "Whole-program distribution-readiness analysis: can every event "
+        "and component survive a process boundary (rules D001 payload "
+        "serializability, D004 non-transferable state, D006 codec "
+        "coverage)."
     ),
     "mem": (
         "Whole-program memory-footprint analysis toward the "
-        "million-peer simulation (rules M001-M006: missing __slots__, "
-        "unbounded per-peer collections, retained events, Address "
-        "interning opportunities, dynamic attributes defeating slots, "
+        "million-peer simulation (rules M001 missing __slots__, M002 "
+        "unbounded per-peer collections, M003 retained events, M006 "
         "heavyweight event defaults)."
     ),
     "par": (
         "Whole-program shard-safety analysis toward multi-process "
-        "scale-out (rules P001-P006: process-divergent module/class "
-        "state, cross-component reach-through, shard-cut codec gaps, "
-        "identity affinity, handler-held synchronization primitives, "
-        "unpinnable components)."
+        "scale-out (rules P005 handler-held synchronization primitives, "
+        "P006 unpinnable components)."
     ),
     "all": (
         "Run every static analysis pass (lint A*, flow F*, dist D*, "

@@ -4,13 +4,13 @@ Configuration lives in ``pyproject.toml``::
 
     [tool.repro.analysis]
     select = ["A", "W"]      # rule ids or prefixes to enable (default: all)
-    ignore = ["A002"]        # rule ids or prefixes to disable
+    ignore = ["A004"]        # rule ids or prefixes to disable
     exclude = ["**/_build/**"]  # path globs the linter skips
 
 CLI flags (``--select``, ``--ignore``) override the file.  Line-level
 suppression uses a trailing comment on the flagged line::
 
-    handler_does_io()  # repro: noqa[A002]
+    event.n = 0        # repro: noqa[A001]
     anything_goes()    # repro: noqa
 
 ``# repro: noqa`` with no bracket suppresses every rule on that line.

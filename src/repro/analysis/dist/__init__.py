@@ -1,22 +1,16 @@
-"""Distribution-readiness analysis (rules ``D001``–``D006``).
+"""Distribution-readiness analysis (rules ``D001``, ``D004``, ``D006``).
 
 The thread-based runtime shares one address space, so a payload can smuggle
-a lock, a component reference, or an aliased ``self.<mutable>`` across a
-channel and nothing breaks — until ROADMAP items 1–2 split the
+a lock or a component reference across a channel and nothing breaks —
+until ROADMAP items 1–2 split the
 :class:`~repro.core.system.ComponentSystem` across processes.  This pass
 proves, statically and whole-program, that every event and every component
 can survive a process boundary:
 
 - ``D001`` unserializable-event-payload — event fields typed as runtime
   objects (components, ports, channels), OS resources, or callables.
-- ``D002`` isolation-escape — a trigger site passes ``self.<mutable>`` by
-  reference, so sender and receiver alias state a boundary would split.
-- ``D003`` closure-capture — lambdas/local defs subscribed as handlers or
-  embedded in payloads, capturing component state or loop variables.
 - ``D004`` non-transferable-state — component state holds an OS resource
   and the class has no section-2.6 ``dump_state``/``load_state`` override.
-- ``D005`` identity-leak — payloads carrying direct component/port
-  references where shard routing needs :class:`~repro.network.address.Address`.
 - ``D006`` codec-coverage — events crossing ``Network`` ports with no
   compact-codec registration (they ride the pickle fallback at wire speed).
 

@@ -6,8 +6,8 @@ imports of analyzed code.  The model answers four questions per class:
 - events: which annotated payload fields does it carry (own + inherited),
   and does each annotation ground to something that survives pickling?
 - components: which ``self`` attributes are mutable containers, which hold
-  OS resources, which are child components or ports, and does the class
-  override the section-2.6 state-transfer hooks?
+  OS resources, and does the class override the section-2.6
+  state-transfer hooks?
 - registrations: which event classes carry a compact-codec registration
   (``@register_compact`` or a ``register_compact(Event)`` call)?
 
@@ -89,8 +89,8 @@ CALLABLE_NAMES = frozenset(
     }
 )
 
-#: Calls whose result is a mutable container (aliasing hazard at trigger
-#: sites).  Bare builtins plus the collections constructors.
+#: Calls whose result is a mutable container.  Bare builtins plus the
+#: collections constructors.
 MUTABLE_CALLS = frozenset(
     {"list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter", "OrderedDict"}
 )
@@ -208,7 +208,7 @@ def _own_fields(info: ClassInfo, index: ProjectIndex) -> list[FieldModel]:
     path = str(info.module.path)
     for item in info.node.body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            if item.target.id.startswith("_") or item.target.id == "responds_to":
+            if item.target.id.startswith("_"):
                 continue
             out.append(
                 FieldModel(
@@ -255,10 +255,6 @@ class ComponentModel:
     mutable_attrs: dict[str, int] = field(default_factory=dict)
     #: (attr, dotted resource constructor, assignment line)
     resource_attrs: list[tuple[str, str, int]] = field(default_factory=list)
-    #: attrs assigned from ``self.create(...)`` (child component handles)
-    child_attrs: set[str] = field(default_factory=set)
-    #: attrs assigned from provides/requires (port handles)
-    port_attrs: set[str] = field(default_factory=set)
     has_state_hooks: bool = False
 
 
@@ -323,12 +319,6 @@ def build_component_model(
                 resource = _resource_call(value, info.module)
                 if resource is not None:
                     model.resource_attrs.append((attr, resource, stmt.lineno))
-                if isinstance(value, ast.Call):
-                    called = self_attr(value.func, selfname)
-                    if called == "create":
-                        model.child_attrs.add(attr)
-                    elif called in ("provides", "requires"):
-                        model.port_attrs.add(attr)
     return model
 
 

@@ -55,7 +55,7 @@ PASSES: dict[str, Pass] = {
     "flow": Pass("F", (), flow_graph.PROGRAM_CHECKS),
     "dist": Pass("D", dist_checks.CLASS_CHECKS, dist_checks.PROGRAM_CHECKS),
     "mem": Pass("M", mem_checks.CLASS_CHECKS),
-    "par": Pass("P", par_checks.CLASS_CHECKS, par_checks.PROGRAM_CHECKS),
+    "par": Pass("P", par_checks.CLASS_CHECKS),
 }
 
 #: Rule-id prefix of the wiring findings ``--wiring-examples`` folds in.

@@ -17,10 +17,14 @@ grouped by pass:
 - ``D0xx`` — distribution-readiness analysis: can every event and
   component survive a process boundary? (:mod:`repro.analysis.dist`)
 - ``M0xx`` — memory-footprint analysis: slot coverage, unbounded
-  collections, event retention, interning (:mod:`repro.analysis.mem`)
-- ``P0xx`` — shard-safety analysis: single-address-space assumptions
-  that break when components are pinned to worker processes
-  (:mod:`repro.analysis.par`)
+  collections, event retention, per-event defaults
+  (:mod:`repro.analysis.mem`)
+- ``P0xx`` — shard-safety analysis: handler-held locks and components
+  that cannot migrate between worker processes (:mod:`repro.analysis.par`)
+
+Retired ids (A002, A005, D002, D003, D005, F001, F003, F004, M004,
+M005, P001–P004) are never reused; ``docs/analysis.md`` keeps the census
+that retired them.
 
 A finding is suppressed at the source line with a trailing
 ``# repro: noqa[A001]`` comment (see :mod:`repro.analysis.config` for
@@ -64,12 +68,6 @@ register_rule(
     "ast",
 )
 register_rule(
-    "A002", "blocking-call",
-    "handler performs a blocking call (time.sleep, socket or file I/O); "
-    "handlers must be non-blocking so a worker is never stalled",
-    "ast",
-)
-register_rule(
     "A003", "foreign-state-access",
     "handler reaches into another component's state via .definition/.core "
     "(components share nothing; communicate through events)",
@@ -79,12 +77,6 @@ register_rule(
     "A004", "subscribe-without-handles",
     "self.subscribe() of a method that has no @handles declaration and no "
     "explicit event_type= (would raise SubscriptionError at runtime)",
-    "ast",
-)
-register_rule(
-    "A005", "undeclared-trigger",
-    "trigger of an event type not declared in the emit direction of the "
-    "port it is triggered on (would raise PortTypeError at runtime)",
     "ast",
 )
 register_rule(
@@ -145,28 +137,9 @@ register_rule(
     "race",
 )
 register_rule(
-    "F001", "contract-violating-trigger",
-    "trigger of an event type that the port type does not admit in the "
-    "direction the trigger site emits (would raise PortTypeError at runtime)",
-    "flow",
-)
-register_rule(
     "F002", "dead-handler",
     "a subscription for which no trigger site anywhere in the program "
     "produces a matching event on that port type and direction",
-    "flow",
-)
-register_rule(
-    "F003", "lost-event",
-    "a trigger for which no subscription anywhere in the program consumes "
-    "the event on that port type and direction (the event always vanishes)",
-    "flow",
-)
-register_rule(
-    "F004", "request-response-mismatch",
-    "a request is triggered but none of its responds_to indications is "
-    "handled anywhere, or an indication is awaited but its paired request "
-    "is never triggered",
     "flow",
 )
 register_rule(
@@ -189,31 +162,10 @@ register_rule(
     "dist",
 )
 register_rule(
-    "D002", "isolation-escape",
-    "a trigger site passes self.<mutable> by reference, so sender and "
-    "receiver alias state that a process boundary would split (copy with "
-    "tuple()/dict()/... at the trigger site)",
-    "dist",
-)
-register_rule(
-    "D003", "closure-capture",
-    "a lambda or local def crosses the event system (subscribed as a "
-    "handler or embedded in a payload), capturing component state or loop "
-    "variables that cannot be serialized",
-    "dist",
-)
-register_rule(
     "D004", "non-transferable-state",
     "component state holds an OS resource (thread, lock, socket, server, "
     "file) and the class overrides neither dump_state nor load_state, so "
     "section-2.6 state transfer cannot migrate it across processes",
-    "dist",
-)
-register_rule(
-    "D005", "identity-leak",
-    "a payload carries a direct component or port reference; shard routing "
-    "requires Address indirection, so the reference is meaningless in the "
-    "receiving process",
     "dist",
 )
 register_rule(
@@ -245,21 +197,6 @@ register_rule(
     "mem",
 )
 register_rule(
-    "M004", "interning-opportunity",
-    "Address constructed inside a handler or loop; construct through "
-    "Address.intern() so repeated peer addresses share one instance "
-    "instead of allocating per event",
-    "mem",
-)
-register_rule(
-    "M005", "dynamic-attr-defeats-slots",
-    "a method outside __init__/__post_init__/dump_state/load_state creates "
-    "a self attribute that is not a declared field on a class that is (or "
-    "should be, per M001) slotted — the write would raise AttributeError "
-    "once slotted, or silently defeats the footprint win today",
-    "mem",
-)
-register_rule(
     "M006", "heavyweight-default",
     "an event field uses a mutable default_factory (dict/list/set), "
     "allocating a fresh container per instance where an empty-tuple "
@@ -267,40 +204,10 @@ register_rule(
     "mem",
 )
 register_rule(
-    "P001", "process-divergent-state",
-    "handler code reads or writes module-level or class-level mutable "
-    "state; each shard worker gets its own copy, so the values silently "
-    "diverge per process — move the state onto the component instance",
-    "par",
-)
-register_rule(
-    "P002", "cross-component-reach-through",
-    "handler code calls methods or reads attributes on a held reference "
-    "to another component instance, bypassing ports; a process boundary "
-    "severs the reference (D005 covers refs in payloads, this covers "
-    "direct use)",
-    "par",
-)
-register_rule(
-    "P003", "shard-cut-codec-gap",
-    "an event edge crosses a candidate shard boundary (producer and "
-    "consumer share no composite subtree) but the event type is not "
-    "wire-safe, so the edge cannot be routed between worker processes",
-    "par",
-)
-register_rule(
-    "P004", "identity-affinity",
-    "handler code uses id() or an is/is-not comparison on runtime values "
-    "as a key or guard; object identity does not survive a process "
-    "boundary (Address relies on intern() for 'is', decoded payloads are "
-    "fresh objects) — compare by value instead",
-    "par",
-)
-register_rule(
     "P005", "handler-acquires-sync-primitive",
     "a handler acquires a synchronization primitive (threading.Lock/"
     "Condition/Event.wait, queue.Queue.get, Thread.join); a lock-shaped "
-    "stall can deadlock a shard's worker pool (A002 covers sleep/IO)",
+    "stall can deadlock a shard's worker pool",
     "par",
 )
 register_rule(

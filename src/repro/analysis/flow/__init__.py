@@ -1,11 +1,10 @@
-"""Whole-program static event-flow analysis (rules F001-F005).
+"""Whole-program static event-flow analysis (rules F002, F005).
 
 Joins every component's port declarations, handler subscriptions and
 ``trigger(...)`` call sites with the ``PortType.positive``/``negative``
 contract sets into a program-wide producer/consumer graph over
-``(port type, direction, event type)``, then checks the graph for
-contract-violating triggers, dead handlers, lost events, unanswered
-requests and stale contract vocabulary.
+``(port type, direction, event type)``, then checks the graph for dead
+handlers and stale contract vocabulary.
 
 Like the AST lint, the pass is purely syntactic and name-based: nothing
 is imported or executed, and any site it cannot ground (a port held in a

@@ -93,44 +93,8 @@ class FlowGraph:
 
     def check(self) -> Iterator[tuple[str, str, str, int, Optional[int], dict]]:
         """Yield ``(rule, message, file, line, col, extra)`` for every hit."""
-        flagged_f001: set[tuple[str, int]] = set()
-        yield from self._check_f001(flagged_f001)
         yield from self._check_f002()
-        yield from self._check_f003(flagged_f001)
-        yield from self._check_f004()
         yield from self._check_f005()
-
-    def _contract(self, port_type: str, direction: str) -> Optional[tuple[str, ...]]:
-        """Declared events for a direction, or None when ungroundable."""
-        name = "positive" if direction == POSITIVE else "negative"
-        declared = self.index.port_direction_events(port_type, name)
-        if declared is None:
-            return None
-        if not all(self.index.is_event(event) for event in declared):
-            return None  # a declared name we cannot ground: stay silent
-        return declared
-
-    def _check_f001(self, flagged: set[tuple[str, int]]) -> Iterator:
-        for producer in self.producers:
-            if producer.event is None:
-                continue
-            declared = self._contract(producer.port_type, producer.direction)
-            if declared is None:
-                continue
-            if any(self._related(producer.event, d) for d in declared):
-                continue
-            flagged.add((producer.file, producer.line))
-            yield (
-                "F001",
-                f"{producer.component} triggers {producer.event} on "
-                f"{producer.port_type} in the "
-                f"{_DIRECTION_WORD[producer.direction]} direction, which its "
-                f"contract does not admit (declared: {', '.join(declared) or 'nothing'})",
-                producer.file,
-                producer.line,
-                producer.col,
-                {"port": producer.port_type, "event": producer.event},
-            )
 
     def _check_f002(self) -> Iterator:
         for consumer in self.consumers:
@@ -151,83 +115,6 @@ class FlowGraph:
                 consumer.col,
                 {"port": consumer.port_type, "event": consumer.event},
             )
-
-    def _check_f003(self, flagged_f001: set[tuple[str, int]]) -> Iterator:
-        for producer in self.producers:
-            if producer.event is None:
-                continue
-            if (producer.file, producer.line) in flagged_f001:
-                continue  # already a contract violation; don't double-report
-            if self.consumers_for(
-                producer.port_type, producer.direction, producer.event
-            ):
-                continue
-            yield (
-                "F003",
-                f"lost event: {producer.component} triggers {producer.event} on "
-                f"{producer.port_type}, but no subscription anywhere consumes it "
-                f"in the {_DIRECTION_WORD[producer.direction]} direction",
-                producer.file,
-                producer.line,
-                producer.col,
-                {"port": producer.port_type, "event": producer.event},
-            )
-
-    def _check_f004(self) -> Iterator:
-        for port_type in sorted(self.index.port_responds_to):
-            mapping = self.index.port_responds_to[port_type]
-            for request in sorted(mapping):
-                indications = mapping[request]
-                if not self.index.is_event(request) or not all(
-                    self.index.is_event(i) for i in indications
-                ):
-                    continue
-                indication_consumed = any(
-                    self.consumers_for(port_type, POSITIVE, indication)
-                    for indication in indications
-                )
-                request_producers = [
-                    p
-                    for p in self.producers_for(port_type, NEGATIVE, request)
-                    if p.event is not None
-                ]
-                if request_producers and not indication_consumed:
-                    for producer in request_producers:
-                        yield (
-                            "F004",
-                            f"{producer.component} triggers request "
-                            f"{producer.event} on {port_type}, but none of its "
-                            f"responds_to indications "
-                            f"({', '.join(indications)}) is handled anywhere",
-                            producer.file,
-                            producer.line,
-                            producer.col,
-                            {"port": port_type, "event": producer.event},
-                        )
-                request_produced = bool(
-                    self.producers_for(port_type, NEGATIVE, request)
-                )
-                if request_produced:
-                    continue
-                for consumer in self._consumers_by_key.get(
-                    (port_type, POSITIVE), ()
-                ):
-                    if consumer.event is None:
-                        continue
-                    if not any(
-                        self._related(consumer.event, i) for i in indications
-                    ):
-                        continue
-                    yield (
-                        "F004",
-                        f"{consumer.component}.{consumer.handler} awaits "
-                        f"indication {consumer.event} on {port_type}, but its "
-                        f"responds_to request {request} is never triggered",
-                        consumer.file,
-                        consumer.line,
-                        consumer.col,
-                        {"port": port_type, "event": consumer.event},
-                    )
 
     def _check_f005(self) -> Iterator:
         for decl in self.port_decls:
@@ -264,7 +151,7 @@ def build_flow_graph(program: Program) -> FlowGraph:
 
 
 def check_flow(program: Program) -> Iterator:
-    """F001–F005 over the program's flow graph."""
+    """F002 and F005 over the program's flow graph."""
     return program.flow_graph.check()
 
 

@@ -1,13 +1,11 @@
-"""Memory-footprint analysis (rules ``M001``–``M006``).
+"""Memory-footprint analysis (rules ``M001``, ``M002``, ``M003``, ``M006``).
 
 The million-peer simulation (ROADMAP item 3) dies by a thousand
 ``__dict__``s: every unslotted event and per-peer record pays a dict
-header, every handler that hoards a collection grows without bound, and
-every decoded message allocates a fresh :class:`~repro.network.address.Address`
-for a peer the process already knows.  This pass proves the tree free of
-those costs statically, and the tracemalloc oracle
-(``tests/property/test_mem_footprint.py`` + ``benchmarks/bench_footprint.py``)
-keeps the verdicts honest at runtime:
+header, and every handler that hoards a collection grows without bound.
+This pass proves the tree free of those costs statically, and the
+tracemalloc oracle (``tests/property/test_mem_footprint.py`` +
+``benchmarks/bench_footprint.py``) keeps the verdicts honest at runtime:
 
 - **M001** missing-``__slots__`` on an ``Event``/``Component``/``Port``
   subclass whose entire base chain is already slot-complete (recognizes
@@ -18,12 +16,6 @@ keeps the verdicts honest at runtime:
   anywhere in the class.
 - **M003** retained-event: a handler stores the delivered event object
   (or a mutable payload field of it) into ``self.*``.
-- **M004** interning opportunity: ``Address(...)`` constructed inside a
-  handler or loop where :meth:`~repro.network.address.Address.intern`
-  would share one instance.
-- **M005** dynamic-attr-defeats-slots: attribute creation outside
-  ``__init__``/``__post_init__``/``dump_state``/``load_state`` on a
-  class that is (or should be, per M001) slotted.
 - **M006** heavyweight default: a mutable ``default_factory`` on an
   event field where an empty-tuple sentinel suffices.
 

@@ -1,4 +1,4 @@
-"""The M001–M006 checks over the program model.
+"""The M001, M002, M003 and M006 checks over the program model.
 
 Each check yields ``(rule, message, file, line, col, extra)`` hits; the
 driver (:mod:`..driver`) walks the classes, applies rule selection and
@@ -11,15 +11,12 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional
 
-from ..dist.checks import _payload_nodes
-from ..dist.model import _resolve_dotted
 from ..program import (
     ANY_KIND,
     COMPONENTS,
     EVENTS,
     ClassInfo,
     Hit,
-    ModuleInfo,
     Program,
     base_name,
     first_param,
@@ -52,7 +49,7 @@ def check_missing_slots(program: Program, info: ClassInfo) -> Iterator[Hit]:
     if not model.bases_complete(node.name):
         return  # a dict-based base keeps the __dict__ anyway: no win
     if slot_info.dynamic_writes:
-        return  # slotting would break these writes; M005 reports them
+        return  # slotting would break these writes
     fix = (
         "add slots=True to the @dataclass decorator"
         if slot_info.is_dataclass
@@ -67,33 +64,6 @@ def check_missing_slots(program: Program, info: ClassInfo) -> Iterator[Hit]:
         node.col_offset,
         {"class": node.name, "dataclass": slot_info.is_dataclass},
     )
-
-
-# ------------------------------------------------------------------- M005
-
-
-def check_dynamic_attrs(program: Program, info: ClassInfo) -> Iterator[Hit]:
-    node, model = info.node, program.mem
-    slot_info = model.slot_info_for(info)
-    if not (slot_info.has_slots or model.bases_complete(node.name)):
-        return
-    if not slot_info.dynamic_writes:
-        return
-    declared = model.declared_attrs(node.name)
-    for attr, line, method in slot_info.dynamic_writes:
-        if declared is not None and attr in declared:
-            continue  # declared by a base; the write does not defeat slots
-        state = "is slotted" if slot_info.has_slots else "should be slotted (M001)"
-        yield (
-            "M005",
-            f"{node.name}.{method} creates attribute self.{attr} outside "
-            f"__init__/dump_state, but {node.name} {state}; declare the "
-            "attribute as a field or move the write into __init__",
-            str(info.module.path),
-            line,
-            None,
-            {"class": node.name, "attr": attr, "method": method},
-        )
 
 
 # ------------------------------------------------------------------- M006
@@ -245,14 +215,34 @@ def check_unbounded_growth(program: Program, info: ClassInfo) -> Iterator[Hit]:
 # ------------------------------------------------------------------- M003
 
 
+def _payload_nodes(expr: ast.expr) -> Iterator[tuple[ast.expr, bool]]:
+    """Yield (node, shielded) over a stored expression.
+
+    A node is *shielded* when it sits inside a call or a subscript: its
+    value is derived (``tuple(event.entries)``, ``event.entries[0]``), so
+    the object itself is not retained.  Display literals
+    (tuples/lists/dicts) do not shield — they embed references directly.
+    """
+
+    def visit(node: ast.expr, shielded: bool) -> Iterator[tuple[ast.expr, bool]]:
+        yield node, shielded
+        if isinstance(node, (ast.Call, ast.Subscript)):
+            for child in ast.iter_child_nodes(node):
+                yield from visit(child, True)
+            return
+        if isinstance(node, ast.Attribute):
+            # self._view is one reference; don't re-report its .value
+            return
+        if isinstance(node, ast.Lambda):
+            return  # a lambda body runs later; building it stores nothing
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, shielded)
+
+    yield from visit(expr, False)
+
+
 def check_retained_event(program: Program, info: ClassInfo) -> Iterator[Hit]:
     node, path = info.node, str(info.module.path)
-    if program.index.classes.get(node.name) is not info:
-        # A shadowed definition of a reused class name.  Its handlers'
-        # event parameters were never looked at before the passes shared
-        # one class record; kept so, because reporting them is a rule
-        # change (three new findings over tests/), not a refactor.
-        return
     handlers = program.handlers_of(node.name) - INIT_METHODS
     for name in sorted(handlers):
         method = info.methods.get(name)
@@ -328,64 +318,11 @@ def check_retained_event(program: Program, info: ClassInfo) -> Iterator[Hit]:
                         )
 
 
-# ------------------------------------------------------------------- M004
-
-
-def _is_address_ctor(call: ast.Call, module: ModuleInfo) -> bool:
-    dotted = _resolve_dotted(call.func, module)
-    if dotted is None:
-        return False
-    parts = dotted.split(".")
-    return parts[-1] == "Address" and (len(parts) == 1 or parts[-2] == "address")
-
-
-def _loop_node_ids(method: ast.FunctionDef) -> set[int]:
-    out: set[int] = set()
-    for node in ast.walk(method):
-        if isinstance(
-            node,
-            (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
-             ast.DictComp, ast.GeneratorExp),
-        ):
-            out.update(id(sub) for sub in ast.walk(node))
-    return out
-
-
-def check_interning(program: Program, info: ClassInfo) -> Iterator[Hit]:
-    node, module = info.node, info.module
-    handlers = program.handlers_of(node.name) - INIT_METHODS
-    for method in info.methods.values():
-        if method.name in INIT_METHODS:
-            continue
-        in_handler = method.name in handlers
-        loop_ids = _loop_node_ids(method)
-        for call in ast.walk(method):
-            if not isinstance(call, ast.Call) or not _is_address_ctor(call, module):
-                continue
-            if not in_handler and id(call) not in loop_ids:
-                continue
-            where = (
-                f"handler {method.name}" if in_handler else f"a loop in {method.name}"
-            )
-            yield (
-                "M004",
-                f"Address(...) constructed inside {where}; repeated peer "
-                "addresses should share one instance — construct through "
-                "Address.intern(...) instead",
-                str(module.path),
-                call.lineno,
-                call.col_offset,
-                {"class": node.name, "method": method.name},
-            )
-
-
 # --------------------------------------------------------------- registry
 
 CLASS_CHECKS = (
     (ANY_KIND, check_missing_slots),       # M001
-    (ANY_KIND, check_dynamic_attrs),       # M005
     (EVENTS, check_heavy_defaults),        # M006
     (COMPONENTS, check_unbounded_growth),  # M002
     (COMPONENTS, check_retained_event),    # M003
-    (COMPONENTS, check_interning),         # M004
 )

@@ -58,12 +58,10 @@ class SlotInfo:
     name: str
     has_slots: bool
     is_dataclass: bool
-    #: instance attributes this class declares: dataclass/annotated
-    #: fields, literal ``__slots__`` entries, and class-body assignments
-    declared: frozenset[str]
     #: (attr, line, method) for self-attribute creation outside
-    #: :data:`INIT_METHODS`; candidate M005 sites, and an M001 guard
-    #: (slotting a class that grows attributes dynamically would break it)
+    #: :data:`INIT_METHODS` of an attribute the class does not declare;
+    #: an M001 guard (slotting a class that grows attributes dynamically
+    #: would break it)
     dynamic_writes: tuple[tuple[str, int, str], ...]
 
 
@@ -176,7 +174,6 @@ def build_slot_info(info: ClassInfo) -> SlotInfo:
         name=node.name,
         has_slots=has_slots,
         is_dataclass=is_dataclass,
-        declared=frozenset(declared),
         dynamic_writes=tuple(dynamic),
     )
 
@@ -246,23 +243,6 @@ class MemModel:
         """True when every base chain above ``name`` is slot-complete."""
         bases = self.index.bases.get(name) or {"object"}
         return all(self.chain_complete(base) for base in bases)
-
-    def declared_attrs(self, name: str) -> Optional[frozenset[str]]:
-        """Own + inherited declared attrs; None when a base is unknown."""
-        out: set[str] = set()
-        seen: set[str] = set()
-        frontier = [name]
-        while frontier:
-            current = frontier.pop()
-            if current in seen or current in _SLOTTED_LEAVES:
-                continue
-            seen.add(current)
-            info = self.slots.get(current)
-            if info is None:
-                return None
-            out.update(info.declared)
-            frontier.extend(self.index.bases.get(current, ()))
-        return frozenset(out)
 
     def mutable_fields(self, event: str) -> set[str]:
         """Field names of ``event`` (own + inherited) annotated mutable."""

@@ -4,9 +4,9 @@
 :func:`parse_module`, then the installed ``repro`` package as *context*
 (indexed so linting ``examples/`` alone still knows the framework's
 types, never reported on) — and builds the name-level
-:class:`ProjectIndex`: class hierarchies by name, ``PortType`` subclasses
-with their declared positive/negative event types, ``Event`` subclasses.
-Nothing is imported or executed.
+:class:`ProjectIndex`: class hierarchies by name, so a rule can ask
+whether a name is a component, an event or a port type.  Nothing is
+imported or executed.
 
 Everything a rule family derives from that scan is a lazily computed,
 cached attribute of the one :class:`Program` object, so a pass that
@@ -15,14 +15,13 @@ pass already built:
 
 - :attr:`Program.classes` — the class walk over the scanned files;
 - :attr:`Program.flow_graph` — producers/consumers per (port type,
-  direction, event type); read by flow, dist (D006), mem and par;
+  direction, event type); read by flow, dist (D006) and the handler map;
 - :attr:`Program.handler_events` / :meth:`Program.handlers_of` — which
   methods run as handlers and what they receive; read by mem and par;
 - :meth:`Program.component_model`, :attr:`Program.dist` — per-component
   state facts, event payload fields and codec registrations; read by
-  dist, mem (M002) and par (P003/P005/P006);
-- :attr:`Program.mem` — slotting facts; :attr:`Program.par` —
-  shared-state, handle and containment facts.
+  dist, mem (M002) and par (P005/P006);
+- :attr:`Program.mem` — slotting facts.
 
 Name resolution is deliberately name-based (no import graph evaluation):
 a class named ``Network`` is assumed to be *the* ``Network`` the index
@@ -45,7 +44,6 @@ if TYPE_CHECKING:
     from .dist.model import ComponentModel, DistModel
     from .flow.graph import FlowGraph
     from .mem.model import MemModel
-    from .par.model import ParModel
 
 #: Root class names anchoring the three hierarchies the passes reason about.
 COMPONENT_ROOT = "ComponentDefinition"
@@ -176,10 +174,6 @@ class ProjectIndex:
     def __init__(self) -> None:
         self.classes: dict[str, ClassInfo] = {}
         self.bases: dict[str, set[str]] = {}
-        self.port_events: dict[str, dict[str, tuple[str, ...]]] = {}
-        #: port type name -> {request event name: (indication names, ...)}
-        #: from ``responds_to = {...}`` class attributes.
-        self.port_responds_to: dict[str, dict[str, tuple[str, ...]]] = {}
 
     # ------------------------------------------------------------- building
 
@@ -189,27 +183,6 @@ class ProjectIndex:
                 info = ClassInfo.from_node(module, node)
                 self.classes[node.name] = info
                 self.bases.setdefault(node.name, set()).update(info.bases)
-                self._extract_port_decl(node)
-
-    def _extract_port_decl(self, node: ast.ClassDef) -> None:
-        decl: dict[str, tuple[str, ...]] = {}
-        for item in node.body:
-            if not isinstance(item, ast.Assign):
-                continue
-            for target in item.targets:
-                if isinstance(target, ast.Name) and target.id in ("positive", "negative"):
-                    if isinstance(item.value, (ast.Tuple, ast.List)):
-                        names = tuple(
-                            n for n in map(base_name, item.value.elts) if n
-                        )
-                        decl[target.id] = names
-                elif isinstance(target, ast.Name) and target.id == "responds_to":
-                    mapping = _extract_responds_to(item.value)
-                    if mapping:
-                        self.port_responds_to.setdefault(node.name, {}).update(mapping)
-        if decl:
-            existing = self.port_events.setdefault(node.name, {})
-            existing.update(decl)
 
     # ------------------------------------------------------------- hierarchy
 
@@ -240,28 +213,6 @@ class ProjectIndex:
         """True when one event type is a (reflexive) subtype of the other."""
         return self.descends_from(a, b) or self.descends_from(b, a)
 
-    def port_direction_events(self, port: str, direction: str) -> Optional[tuple[str, ...]]:
-        """Declared event names for ``direction`` of ``port``, searching bases.
-
-        Returns None when the port type (or the direction's declaration)
-        is unknown to the index.
-        """
-        seen: set[str] = set()
-        frontier = [port]
-        collected: list[str] = []
-        known = False
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            decl = self.port_events.get(current)
-            if decl is not None and direction in decl:
-                known = True
-                collected.extend(decl[direction])
-            frontier.extend(self.bases.get(current, ()))
-        return tuple(collected) if known else None
-
     def lookup_method(self, cls: str, method: str) -> Optional[HandlerInfo]:
         """Resolve ``method`` through ``cls`` and its indexed bases."""
         seen: set[str] = set()
@@ -279,25 +230,6 @@ class ProjectIndex:
             else:
                 frontier.extend(self.bases.get(current, ()))
         return None
-
-
-def _extract_responds_to(value: ast.expr) -> dict[str, tuple[str, ...]]:
-    """Parse a ``responds_to = {Request: (Indication, ...)}`` literal."""
-    mapping: dict[str, tuple[str, ...]] = {}
-    if not isinstance(value, ast.Dict):
-        return mapping
-    for key, val in zip(value.keys, value.values):
-        request = base_name(key) if key is not None else None
-        if request is None:
-            continue
-        if isinstance(val, (ast.Tuple, ast.List)):
-            indications = tuple(n for n in map(base_name, val.elts) if n)
-        else:
-            name = base_name(val)
-            indications = (name,) if name else ()
-        if indications:
-            mapping[request] = indications
-    return mapping
 
 
 def _handles_decorator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Optional[str]:
@@ -540,9 +472,3 @@ class Program:
         from .mem.model import build_mem_model
 
         return build_mem_model(self)
-
-    @cached_property
-    def par(self) -> "ParModel":
-        from .par.model import build_par_model
-
-        return build_par_model(self)

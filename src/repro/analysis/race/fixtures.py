@@ -197,7 +197,7 @@ class _JobWorker(ComponentDefinition):
     @handles(Job)
     def on_job(self, job: Job) -> None:
         # The race on display, suppressed from the lint gate so the runtime
-        # detector (R001) gets to find it.  # repro: noqa[A001]
+        # detector (R001) gets to find it.
         job.results.append(self.tag)  # repro: noqa[A001]
 
 

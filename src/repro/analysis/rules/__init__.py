@@ -1,4 +1,4 @@
-"""AST lint rules (A001–A005).
+"""AST lint rules (A001, A003, A004).
 
 Each rule module exposes ``check(ctx) -> Iterator[(rule_id, message, node)]``
 where ``ctx`` is a
@@ -10,14 +10,12 @@ whenever a name cannot be grounded in the index.
 
 from __future__ import annotations
 
-from . import blocking, isolation, mutation, subscriptions, triggers
+from . import isolation, mutation, subscriptions
 
 AST_CHECKS = (
     mutation.check,        # A001 event-mutation
-    blocking.check,        # A002 blocking-call
     isolation.check,       # A003 foreign-state-access
     subscriptions.check,   # A004 subscribe-without-handles
-    triggers.check,        # A005 undeclared-trigger
 )
 
 __all__ = ["AST_CHECKS"]

@@ -70,10 +70,6 @@ class PutGet(PortType):
 
     positive = (PutResponse, GetResponse)
     negative = (PutRequest, GetRequest)
-    responds_to = {
-        PutRequest: (PutResponse,),
-        GetRequest: (GetResponse,),
-    }
 
 
 # -------------------------------------------------------------- Ring port
@@ -120,10 +116,6 @@ class Ring(PortType):
 
     positive = (RingLookupResponse, RingReady, RingNeighbors)
     negative = (RingJoin, RingLookup)
-    responds_to = {
-        RingJoin: (RingReady,),
-        RingLookup: (RingLookupResponse,),
-    }
 
 
 # ------------------------------------------------------- ring wire messages

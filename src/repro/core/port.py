@@ -47,18 +47,10 @@ class PortType:
     Subclasses declare ``positive`` and ``negative`` as iterables of event
     types.  There is no subtyping between port types (paper section 2.1);
     event subtyping is honoured when checking whether an event may pass.
-
-    RPC-shaped ports may additionally declare ``responds_to``, mapping each
-    request event type (negative direction) to the indication types
-    (positive direction) that answer it.  The mapping is advisory metadata:
-    the runtime never consults it, but the static flow analysis
-    (:mod:`repro.analysis.flow`, rule F004) uses it to pair requests with
-    their responses program-wide.
     """
 
     positive: tuple[type[Event], ...] = ()
     negative: tuple[type[Event], ...] = ()
-    responds_to: dict[type[Event], tuple[type[Event], ...]] = {}
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
@@ -70,27 +62,6 @@ class PortType:
                     raise PortTypeError(
                         f"{cls.__name__}.{direction_name} contains {event_type!r}, "
                         f"which is not an Event subclass"
-                    )
-        responds_to = cls.__dict__.get("responds_to", cls.responds_to)
-        cls.responds_to = {
-            request: (indications,) if isinstance(indications, type)
-            else tuple(indications)
-            for request, indications in responds_to.items()
-        }
-        for request, indications in cls.responds_to.items():
-            if not isinstance(request, type) or not cls.allowed(Direction.NEGATIVE, request):
-                raise PortTypeError(
-                    f"{cls.__name__}.responds_to names {request!r} as a request, "
-                    f"but it is not admitted in the negative direction"
-                )
-            for indication in indications:
-                if not isinstance(indication, type) or not cls.allowed(
-                    Direction.POSITIVE, indication
-                ):
-                    raise PortTypeError(
-                        f"{cls.__name__}.responds_to pairs {request.__name__} with "
-                        f"{indication!r}, which is not admitted in the positive "
-                        f"direction"
                     )
 
     @classmethod

@@ -36,7 +36,6 @@ class Bootstrap(PortType):
 
     positive = (BootstrapResponse,)
     negative = (BootstrapRequest, BootstrapDone)
-    responds_to = {BootstrapRequest: (BootstrapResponse,)}
 
 
 # ---------------------------------------------------------------- messages

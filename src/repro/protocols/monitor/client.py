@@ -79,7 +79,7 @@ class MonitorClient(ComponentDefinition):
     def on_status(self, response: StatusResponse) -> None:
         # Keyed by component name and overwritten per snapshot: bounded by
         # this node's component population, not by the event rate.
-        self._latest[response.component] = dict(response.data)  # repro: noqa[M002]
+        self._latest[response.component] = dict(response.data)
 
     @handles(ReportTick)
     def on_tick(self, _tick: ReportTick) -> None:

@@ -36,4 +36,3 @@ class Status(PortType):
 
     positive = (StatusResponse, StatusSnapshotEnd)
     negative = (StatusRequest,)
-    responds_to = {StatusRequest: (StatusResponse, StatusSnapshotEnd)}

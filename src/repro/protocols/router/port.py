@@ -45,4 +45,3 @@ class Router(PortType):
 
     positive = (Resolved, ResolveFailed)
     negative = (Resolve,)
-    responds_to = {Resolve: (Resolved, ResolveFailed)}

@@ -4,10 +4,9 @@ The paper's deployment argument (section 5) is that a Kompics system
 scales by *sharding*: the root's create-subtrees are placed onto separate
 schedulers — here, separate OS processes — and every message that crosses
 the shard cut travels through the Network abstraction instead of by
-object reference.  This module is the runtime oracle for the static
-``par`` pass (rules P001–P006): it makes the shard cut *real*, so the
-hazards the pass predicts (process-divergent module state, identity
-affinity, codec gaps) become observable behaviour differences.
+object reference.  This module makes the shard cut *real*, so
+single-address-space assumptions (process-divergent module state,
+identity affinity, codec gaps) become observable behaviour differences.
 
 Shape:
 
@@ -181,7 +180,7 @@ class ShardCluster:
         if not specs:
             raise ValueError("a ShardCluster needs at least one ShardSpec")
         # spawn, never fork: a fresh interpreter per worker is what makes
-        # module globals honestly per-process (P001).
+        # module globals honestly per-process.
         ctx = multiprocessing.get_context("spawn")
         self._workers: list[_WorkerHandle] = []
         self._owner: dict[Address, int] = {}

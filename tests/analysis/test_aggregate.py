@@ -24,12 +24,11 @@ def main(argv):
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: One file that trips every static pass: a blocking call in a handler
-#: (lint A002), a dead handler and a lost event (flow F002/F003), and a
-#: lock-carrying payload (dist D001).
+#: One file that trips every static pass: a handler mutating its event
+#: (lint A001), a dead handler (flow F002), and a lock-carrying payload
+#: (dist D001).
 DIRTY_SOURCE = """\
 import threading
-import time
 from dataclasses import dataclass
 
 from repro import ComponentDefinition, Event, PortType, handles
@@ -53,7 +52,7 @@ class Pinger(ComponentDefinition):
 
     @handles(Ping)
     def on_ping(self, event):
-        time.sleep(0.1)
+        event.guard = None
 
     def fire(self):
         self.trigger(Ping(), self.pings)

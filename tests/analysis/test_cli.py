@@ -9,7 +9,6 @@ from repro.analysis.cli import main
 
 BAD_MODULE = textwrap.dedent(
     """\
-    import time
     from dataclasses import dataclass
 
     from repro import ComponentDefinition, Event, PortType, handles
@@ -25,16 +24,19 @@ BAD_MODULE = textwrap.dedent(
         negative = ()
 
 
-    class Sleepy(ComponentDefinition):
+    class Careless(ComponentDefinition):
         def __init__(self):
             super().__init__()
             self.port = self.requires(TickPort)
             self.subscribe(self.on_tick, self.port)
+            self.subscribe(self.on_any, self.port)
 
         @handles(Tick)
         def on_tick(self, event):
-            time.sleep(1)
             event.n = 7
+
+        def on_any(self, event):
+            pass
     """
 )
 
@@ -78,7 +80,7 @@ def test_exit_one_with_text_report(tmp_path, capsys):
     (tmp_path / "bad.py").write_text(BAD_MODULE)
     assert main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
-    assert "A001" in out and "A002" in out
+    assert "A001" in out and "A004" in out
     assert "bad.py" in out
     assert "2 finding(s)" in out
 
@@ -89,16 +91,16 @@ def test_json_report_shape(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["version"] == 1
     assert report["total"] == 2
-    assert report["counts"] == {"A001": 1, "A002": 1}
+    assert report["counts"] == {"A001": 1, "A004": 1}
     rules = {f["rule"] for f in report["findings"]}
-    assert rules == {"A001", "A002"}
+    assert rules == {"A001", "A004"}
     assert all("file" in f and "line" in f for f in report["findings"])
 
 
 def test_select_and_ignore_flags(tmp_path):
     (tmp_path / "bad.py").write_text(BAD_MODULE)
-    assert main([str(tmp_path), "--select", "A002"]) == 1
-    assert main([str(tmp_path), "--ignore", "A001,A002"]) == 0
+    assert main([str(tmp_path), "--select", "A004"]) == 1
+    assert main([str(tmp_path), "--ignore", "A001,A004"]) == 0
 
 
 def test_config_file_is_honored(tmp_path, capsys):
@@ -106,7 +108,7 @@ def test_config_file_is_honored(tmp_path, capsys):
     project.mkdir()
     (project / "bad.py").write_text(BAD_MODULE)
     (project / "pyproject.toml").write_text(
-        '[tool.repro.analysis]\nignore = ["A001", "A002"]\n'
+        '[tool.repro.analysis]\nignore = ["A001", "A004"]\n'
     )
     assert main([str(project)]) == 0
     capsys.readouterr()
@@ -128,7 +130,7 @@ def test_usage_errors(tmp_path, capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("A001", "A005", "W001", "W004", "S001", "S002"):
+    for rule_id in ("A001", "A004", "W001", "W004", "S001", "S002"):
         assert rule_id in out
 
 

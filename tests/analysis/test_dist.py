@@ -1,4 +1,4 @@
-"""Distribution-readiness analysis (D001-D006): per-rule fixtures with
+"""Distribution-readiness analysis (D001, D004, D006): per-rule fixtures with
 exact file/line assertions, classify_events verdicts, noqa suppression,
 CLI behaviour, determinism, and the whole-tree cleanliness gate."""
 
@@ -123,106 +123,6 @@ def test_noqa_suppresses_report_but_not_verdict(tmp_path):
     assert not classify_events([path])["CarriesLock"].wire_safe
 
 
-# ---------------------------------------------------------------- D002
-
-
-D002_FIXTURE = """\
-from dataclasses import dataclass
-
-from repro import ComponentDefinition, Event, PortType
-
-
-@dataclass(frozen=True)
-class GossipDigest(Event):
-    entries: tuple = ()
-
-
-class GossipExchange(PortType):
-    positive = (GossipDigest,)
-    negative = (GossipDigest,)
-
-
-class Gossiper(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.view = []
-        self.log = {}
-        self.exchange = self.requires(GossipExchange)
-
-    def leak(self):
-        self.trigger(GossipDigest(entries=self.view), self.exchange)
-
-    def leak_in_literal(self):
-        self.trigger(GossipDigest(entries=(self.log,)), self.exchange)
-
-    def snapshot(self):
-        self.trigger(GossipDigest(entries=tuple(self.view)), self.exchange)
-
-    def element(self):
-        self.trigger(GossipDigest(entries=self.view[0]), self.exchange)
-"""
-
-
-def test_d002_flags_aliased_mutable_state(tmp_path):
-    _, findings = analyze_source(tmp_path, D002_FIXTURE)
-    assert at(findings, "D002") == [
-        ("D002", line_of(D002_FIXTURE, "        self.trigger(GossipDigest(entries=self.view), self.exchange)")),
-        ("D002", line_of(D002_FIXTURE, "        self.trigger(GossipDigest(entries=(self.log,)), self.exchange)")),
-    ]
-
-
-# ---------------------------------------------------------------- D003
-
-
-D003_FIXTURE = """\
-from dataclasses import dataclass
-
-from repro import ComponentDefinition, Event, PortType
-
-
-@dataclass(frozen=True)
-class Job(Event):
-    task: object = None
-
-
-class Jobs(PortType):
-    positive = (Job,)
-    negative = (Job,)
-
-
-class Submitter(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.jobs = self.requires(Jobs)
-        self.subscribe(lambda event: None, self.jobs)
-
-    def subscribe_local(self):
-        def on_job(event):
-            return self
-        self.subscribe(on_job, self.jobs)
-
-    def ship_closure(self):
-        for item in (1, 2):
-            self.trigger(Job(task=lambda: item), self.jobs)
-
-    def clean(self):
-        self.trigger(Job(task=42), self.jobs)
-"""
-
-
-def test_d003_flags_lambda_handlers_local_defs_and_closures(tmp_path):
-    _, findings = analyze_source(tmp_path, D003_FIXTURE)
-    rows = at(findings, "D003")
-    assert rows == [
-        ("D003", line_of(D003_FIXTURE, "        self.subscribe(lambda event: None, self.jobs)")),
-        ("D003", line_of(D003_FIXTURE, "        self.subscribe(on_job, self.jobs)")),
-        ("D003", line_of(D003_FIXTURE, "            self.trigger(Job(task=lambda: item), self.jobs)")),
-    ]
-    closure = [f for f in findings if f.rule == "D003" and "embeds a lambda" in f.message]
-    assert len(closure) == 1
-    assert closure[0].extra["captures"] == ["item"]  # the loop variable
-
-
 # ---------------------------------------------------------------- D004
 
 
@@ -260,58 +160,6 @@ def test_d004_flags_resources_without_transfer_hooks(tmp_path):
         ("D004", line_of(D004_FIXTURE, "        self.pump = threading.Thread(target=self.run)")),
     ]
     assert all("MigratableAcceptor" not in f.message for f in findings)
-
-
-# ---------------------------------------------------------------- D005
-
-
-D005_FIXTURE = """\
-from dataclasses import dataclass
-
-from repro import ComponentDefinition, Event, PortType
-
-
-@dataclass(frozen=True)
-class Introduce(Event):
-    who: object = None
-
-
-class Intro(PortType):
-    positive = (Introduce,)
-    negative = (Introduce,)
-
-
-class Worker(ComponentDefinition):
-    pass
-
-
-class Registrar(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.intro = self.requires(Intro)
-        self.worker = self.create(Worker)
-
-    def leak_self(self):
-        self.trigger(Introduce(who=self), self.intro)
-
-    def leak_child(self):
-        self.trigger(Introduce(who=self.worker), self.intro)
-
-    def leak_port(self):
-        self.trigger(Introduce(who=self.intro), self.intro)
-
-    def clean(self):
-        self.trigger(Introduce(who="name"), self.intro)
-"""
-
-
-def test_d005_flags_identity_leaks(tmp_path):
-    _, findings = analyze_source(tmp_path, D005_FIXTURE)
-    assert at(findings, "D005") == [
-        ("D005", line_of(D005_FIXTURE, "        self.trigger(Introduce(who=self), self.intro)")),
-        ("D005", line_of(D005_FIXTURE, "        self.trigger(Introduce(who=self.worker), self.intro)")),
-        ("D005", line_of(D005_FIXTURE, "        self.trigger(Introduce(who=self.intro), self.intro)")),
-    ]
 
 
 # ---------------------------------------------------------------- D006
@@ -416,7 +264,7 @@ def test_cli_sarif_output(tmp_path, capsys):
 
 
 def test_output_is_deterministic(tmp_path):
-    for fixture in (D001_FIXTURE, D002_FIXTURE, D005_FIXTURE):
+    for fixture in (D001_FIXTURE, D004_FIXTURE, D006_FIXTURE):
         path = tmp_path / "mod.py"
         path.write_text(textwrap.dedent(fixture))
         first = analyze_paths([path])

@@ -1,4 +1,4 @@
-"""Shard-safety analysis (P001-P006): per-rule fixtures with exact
+"""Shard-safety analysis (P005, P006): per-rule fixtures with exact
 file/line assertions, noqa suppression, CLI behaviour, config loading,
 determinism, and the whole-tree cleanliness gate."""
 
@@ -30,282 +30,6 @@ def at(findings, rule):
 
 def line_of(source, needle):
     return textwrap.dedent(source).splitlines().index(needle) + 1
-
-
-# ---------------------------------------------------------------- P001
-
-
-P001_FIXTURE = """\
-from dataclasses import dataclass
-
-from repro import ComponentDefinition, Event, PortType
-
-SEEN = {}
-TABLE = {"a": 1}
-
-
-@dataclass(frozen=True)
-class Tick(Event):
-    n: int = 0
-
-
-class Ticks(PortType):
-    positive = (Tick,)
-    negative = (Tick,)
-
-
-class Counter(ComponentDefinition):
-    registry = {}
-
-    def __init__(self):
-        super().__init__()
-        self.port = self.requires(Ticks)
-        self.total = 0
-        self.subscribe(self.on_tick, self.port)
-
-    def on_tick(self, event):
-        global TOTAL
-        SEEN[event.n] = event
-        self.registry[event.n] = event
-        self.total += 1
-
-    def lookup(self, key):
-        return TABLE[key]
-"""
-
-
-def test_p001_flags_global_module_and_class_state(tmp_path):
-    _, findings = analyze_source(tmp_path, P001_FIXTURE)
-    assert at(findings, "P001") == [
-        ("P001", line_of(P001_FIXTURE, "        global TOTAL")),
-        ("P001", line_of(P001_FIXTURE, "        SEEN[event.n] = event")),
-        ("P001", line_of(P001_FIXTURE, "        self.registry[event.n] = event")),
-    ]
-    kinds = {f.extra.get("global") or f.extra.get("name") or f.extra.get("attr")
-             for f in findings if f.rule == "P001"}
-    assert kinds == {"TOTAL", "SEEN", "registry"}
-    # TABLE is never mutated anywhere in the module: a constant lookup
-    # table is identical in every process, and lookup() is not a handler.
-
-
-def test_p001_instance_shadowing_silences_class_attr(tmp_path):
-    source = P001_FIXTURE.replace(
-        "        self.total = 0",
-        "        self.total = 0\n        self.registry = {}",
-    )
-    path = tmp_path / "mod.py"
-    path.write_text(source)
-    findings = analyze_paths([path])
-    assert all(f.extra.get("attr") != "registry" for f in findings)
-
-
-def test_p001_noqa_suppresses(tmp_path):
-    source = P001_FIXTURE.replace(
-        "        SEEN[event.n] = event",
-        "        SEEN[event.n] = event  # repro: noqa[P001]",
-    )
-    path = tmp_path / "mod.py"
-    path.write_text(source)
-    findings = analyze_paths([path])
-    assert all(f.extra.get("name") != "SEEN" for f in findings)
-
-
-# ---------------------------------------------------------------- P002
-
-
-P002_FIXTURE = """\
-from dataclasses import dataclass
-
-from repro import ComponentDefinition, Event, PortType
-
-
-@dataclass(frozen=True)
-class Job(Event):
-    n: int = 0
-
-
-class Jobs(PortType):
-    positive = (Job,)
-    negative = (Job,)
-
-
-class Store(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.port = self.provides(Jobs)
-        self.records = []
-
-
-class Front(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.port = self.requires(Jobs)
-        self.store = Store()
-        self.child = self.create(Store)
-        self.subscribe(self.on_job, self.port)
-
-    def on_job(self, event):
-        self.store.records.append(event.n)
-        self.child.records
-        self.child.provided(Jobs)
-"""
-
-
-def test_p002_flags_reach_through(tmp_path):
-    _, findings = analyze_source(tmp_path, P002_FIXTURE)
-    assert at(findings, "P002") == [
-        ("P002", line_of(P002_FIXTURE, "        self.store.records.append(event.n)")),
-        ("P002", line_of(P002_FIXTURE, "        self.child.records")),
-    ]
-    direct, handle = (f for f in findings if f.rule == "P002")
-    assert direct.extra["attr"] == "store"
-    assert handle.extra["attr"] == "child"
-    # .provided(Jobs) is the port-access API and stays silent
-
-
-# ---------------------------------------------------------------- P003
-
-
-P003_FIXTURE = """\
-import threading
-from dataclasses import dataclass
-
-from repro import ComponentDefinition, Event, PortType, handles
-
-
-@dataclass(frozen=True)
-class Guarded(Event):
-    guard: threading.Lock = None
-
-
-@dataclass(frozen=True)
-class Plain(Event):
-    n: int = 0
-
-
-class Wire(PortType):
-    positive = (Guarded, Plain)
-    negative = (Guarded, Plain)
-
-
-class Producer(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.port = self.requires(Wire)
-
-    def fire(self):
-        self.trigger(Guarded(), self.port)
-        self.trigger(Plain(), self.port)
-
-
-class Consumer(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.port = self.provides(Wire)
-        self.subscribe(self.on_guarded, self.port, event_type=Guarded)
-        self.subscribe(self.on_plain, self.port, event_type=Plain)
-
-    @handles(Guarded)
-    def on_guarded(self, event):
-        pass
-
-    @handles(Plain)
-    def on_plain(self, event):
-        pass
-"""
-
-
-def test_p003_flags_non_wire_safe_event_on_crossing_edge(tmp_path):
-    _, findings = analyze_source(tmp_path, P003_FIXTURE)
-    rows = at(findings, "P003")
-    assert rows == [
-        ("P003", line_of(P003_FIXTURE, "        self.trigger(Guarded(), self.port)")),
-    ]
-    finding = next(f for f in findings if f.rule == "P003")
-    assert finding.extra["event"] == "Guarded"
-    assert finding.extra["producer"] == "Producer"
-    assert finding.extra["consumer"] == "Consumer"
-    # Plain is wire-safe and flows over the same cut without a finding.
-
-
-def test_p003_common_composite_silences(tmp_path):
-    source = P003_FIXTURE + textwrap.dedent(
-        """
-
-        class Assembly(ComponentDefinition):
-            def __init__(self):
-                super().__init__()
-                self.producer = self.create(Producer)
-                self.consumer = self.create(Consumer)
-        """
-    )
-    path = tmp_path / "mod.py"
-    path.write_text(source)
-    findings = analyze_paths([path])
-    # Both endpoints now live under one composite: the edge can no longer
-    # land across a shard cut (roots move whole), so P003 stays silent.
-    assert at(findings, "P003") == []
-
-
-# ---------------------------------------------------------------- P004
-
-
-P004_FIXTURE = """\
-from dataclasses import dataclass
-from enum import Enum
-
-from repro import ComponentDefinition, Event, PortType
-
-
-class Color(Enum):
-    RED = 1
-
-
-@dataclass(frozen=True)
-class Token(Event):
-    token: object = None
-    kind: object = None
-
-
-class Tokens(PortType):
-    positive = (Token,)
-    negative = (Token,)
-
-
-class Gate(ComponentDefinition):
-    def __init__(self):
-        super().__init__()
-        self.port = self.requires(Tokens)
-        self.expected = object()
-        self.seen = set()
-        self.subscribe(self.on_token, self.port)
-
-    def on_token(self, event):
-        self.seen.add(id(event))
-        if event.token is self.expected:
-            return
-        if event.kind is Color.RED:
-            return
-        if event.token is None:
-            return
-
-    def dump_state(self):
-        return set(self.seen)
-
-    def load_state(self, state):
-        self.seen = set(state)
-"""
-
-
-def test_p004_flags_id_and_identity_compares(tmp_path):
-    _, findings = analyze_source(tmp_path, P004_FIXTURE)
-    assert at(findings, "P004") == [
-        ("P004", line_of(P004_FIXTURE, "        self.seen.add(id(event))")),
-        ("P004", line_of(P004_FIXTURE, "        if event.token is self.expected:")),
-    ]
-    forms = [f.extra["form"] for f in findings if f.rule == "P004"]
-    assert forms == ["id", "is"]
-    # enum-member and None comparisons survive pickling and stay silent
 
 
 # ---------------------------------------------------------------- P005
@@ -458,11 +182,11 @@ def test_subtree_is_par_clean(subtree):
 
 def test_cli_exit_codes_and_json(tmp_path, capsys):
     path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P001_FIXTURE))
+    path.write_text(textwrap.dedent(P005_FIXTURE))
     assert main(["par", str(path), "--format", "json"]) == 1
     report = json.loads(capsys.readouterr().out)
-    assert report["total"] == 3
-    assert report["counts"] == {"P001": 3}
+    assert report["total"] == 2
+    assert report["counts"] == {"P005": 2}
 
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
@@ -475,19 +199,19 @@ def test_cli_select_ignore(tmp_path, capsys):
     path.write_text(textwrap.dedent(P005_FIXTURE))
     assert main(["par", str(path), "--ignore", "P005"]) == 0
     assert main(["par", str(path), "--select", "P005"]) == 1
-    assert main(["par", str(path), "--select", "P003"]) == 0
+    assert main(["par", str(path), "--select", "P006"]) == 0
     capsys.readouterr()
 
 
 def test_cli_sarif_output(tmp_path, capsys):
     path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P004_FIXTURE))
+    path.write_text(textwrap.dedent(P005_FIXTURE))
     sarif_path = tmp_path / "out.sarif"
     assert main(["par", str(path), "--sarif", str(sarif_path)]) == 1
     capsys.readouterr()
     log = json.loads(sarif_path.read_text())
     assert log["version"] == "2.1.0"
-    assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["P004", "P004"]
+    assert [r["ruleId"] for r in log["runs"][0]["results"]] == ["P005", "P005"]
 
 
 def test_cli_pyproject_config(tmp_path, capsys):
@@ -509,10 +233,7 @@ def test_par_runs_under_all(tmp_path, capsys):
 
 
 def test_output_is_deterministic(tmp_path):
-    for fixture in (
-        P001_FIXTURE, P002_FIXTURE, P003_FIXTURE,
-        P004_FIXTURE, P005_FIXTURE, P006_FIXTURE,
-    ):
+    for fixture in (P005_FIXTURE, P006_FIXTURE):
         path = tmp_path / "mod.py"
         path.write_text(textwrap.dedent(fixture))
         first = analyze_paths([path])
@@ -526,6 +247,6 @@ def test_output_is_deterministic(tmp_path):
 
 def test_config_exclude_applies(tmp_path):
     path = tmp_path / "mod.py"
-    path.write_text(textwrap.dedent(P001_FIXTURE))
+    path.write_text(textwrap.dedent(P005_FIXTURE))
     config = AnalysisConfig(exclude=("mod.py",))
     assert analyze_paths([path], config=config) == []

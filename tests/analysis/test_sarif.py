@@ -172,11 +172,19 @@ def test_sarif_header_and_tool():
     assert log["runs"][0]["tool"]["driver"]["name"] == "repro-analysis"
 
 
+#: The catalogue the rule census in docs/analysis.md left standing.
+CATALOGUE = [
+    "A001", "A003", "A004", "C001", "D001", "D004", "D006", "F002",
+    "F005", "M001", "M002", "M003", "M006", "P005", "P006", "R001",
+    "R002", "R003", "S001", "S002", "W001", "W002", "W003", "W004",
+]
+
+
 def test_rule_catalogue_is_complete_and_indexable():
     log = json.loads(to_sarif(sample_findings()))
     run = log["runs"][0]
     rules = run["tool"]["driver"]["rules"]
-    assert [r["id"] for r in rules] == sorted(RULES)
+    assert [r["id"] for r in rules] == CATALOGUE == sorted(RULES)
     for result in run["results"]:
         assert rules[result["ruleIndex"]]["id"] == result["ruleId"]
 

@@ -137,105 +137,3 @@ def test_network_declares_message_bidirectional():
     # legal both ways on Network ports.
     assert Network.allowed(Direction.POSITIVE, Message)
     assert Network.allowed(Direction.NEGATIVE, Message)
-
-
-# ------------------------------------------------------------- responds_to
-
-
-def test_responds_to_is_normalized_to_tuples():
-    class Req(Event):
-        pass
-
-    class RespA(Event):
-        pass
-
-    class RespB(Event):
-        pass
-
-    class Rpc(PortType):
-        positive = (RespA, RespB)
-        negative = (Req,)
-        responds_to = {Req: [RespA, RespB]}
-
-    assert Rpc.responds_to == {Req: (RespA, RespB)}
-
-
-def test_responds_to_accepts_a_single_indication():
-    class Req(Event):
-        pass
-
-    class Resp(Event):
-        pass
-
-    class Rpc(PortType):
-        positive = (Resp,)
-        negative = (Req,)
-        responds_to = {Req: Resp}
-
-    assert Rpc.responds_to == {Req: (Resp,)}
-
-
-def test_responds_to_rejects_request_not_in_negative_set():
-    class Req(Event):
-        pass
-
-    class Resp(Event):
-        pass
-
-    with pytest.raises(PortTypeError, match="request"):
-
-        class Rpc(PortType):
-            positive = (Resp,)
-            negative = ()
-            responds_to = {Req: (Resp,)}
-
-
-def test_responds_to_rejects_indication_not_in_positive_set():
-    class Req(Event):
-        pass
-
-    class Resp(Event):
-        pass
-
-    class Alien(Event):
-        pass
-
-    with pytest.raises(PortTypeError, match="indication"):
-
-        class Rpc(PortType):
-            positive = (Resp,)
-            negative = (Req,)
-            responds_to = {Req: (Alien,)}
-
-
-def test_responds_to_rejects_non_class_entries():
-    class Req(Event):
-        pass
-
-    class Resp(Event):
-        pass
-
-    with pytest.raises(PortTypeError):
-
-        class Rpc(PortType):
-            positive = (Resp,)
-            negative = (Req,)
-            responds_to = {Req: ("Resp",)}
-
-
-def test_library_ports_declare_only_contract_events():
-    """Every in-tree responds_to mapping names only declared events —
-    satellite 2's acceptance check, over the real port catalogue."""
-    from repro.core.event import Direction
-    from repro.cats.events import PutGet, Ring
-    from repro.protocols.bootstrap.events import Bootstrap
-    from repro.protocols.monitor.port import Status
-    from repro.protocols.router.port import Router
-
-    for port in (PutGet, Ring, Bootstrap, Status, Router):
-        assert port.responds_to, f"{port.__name__} lost its responds_to map"
-        for request, indications in port.responds_to.items():
-            assert port.allowed(Direction.NEGATIVE, request)
-            assert isinstance(indications, tuple)
-            for indication in indications:
-                assert port.allowed(Direction.POSITIVE, indication)

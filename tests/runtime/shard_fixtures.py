@@ -1,8 +1,8 @@
 """Planted shard-safety defects and clean twins for the shard harness.
 
-Each fixture here is the *runtime* form of a ``par``-pass hazard: placed
-in one shard it behaves one way, split across the shard cut it observably
-diverges — while its clean twin behaves identically in both placements.
+Each fixture here is a single-address-space hazard made runnable (named
+after the retired static rule that described it): in one shard it behaves
+one way, across the shard cut it observably diverges — its clean twin not.
 
 - :class:`GlobalCountingSink` is a live P001: handlers mutate a
   module-global counter, so the "total" the program computes depends on

@@ -1,4 +1,5 @@
-"""The shard harness as an oracle for the ``par`` pass (P001–P006).
+"""The shard harness: what moving components behind a process boundary
+changes, and what it must not.
 
 Three differentials, per the harness contract:
 
@@ -10,9 +11,10 @@ Three differentials, per the harness contract:
    workers, with all ring/quorum traffic crossing the cut as compact
    frames between the workers' own sockets, still serves a linearizable
    register.
-3. *Planted divergence* — the P001 (module-global state) and P004
-   (identity-keyed dedup) fixture defects behave differently across the
-   cut than within a shard, while their clean twins do not.
+3. *Planted divergence* — the module-global state and identity-keyed
+   dedup fixture defects (named P001 and P004 after the static rules
+   that once described them) behave differently across the cut than
+   within a shard, while their clean twins do not.
 """
 
 from __future__ import annotations
