@@ -107,6 +107,19 @@ def _warm(sender: Peer, receiver: Peer, lane: int = 0) -> None:
     receiver.lanes[lane].clear()
 
 
+def _settled(*nets: AioTcpNetwork) -> None:
+    """Wait until no thread writes on a connection of ``nets``.
+
+    A message can be delivered before the thread that wrote it has let go
+    of the connection's write lock; the counters it bumps are final only
+    once that lock is free.
+    """
+    assert wait_until(
+        lambda: not any(c.write_lock.locked() for net in nets for c in list(net._conns)),
+        timeout=10,
+    )
+
+
 def _send_from_handler(sender: Peer, net: AioTcpNetwork, to: Address, first: int,
                        sizes: list[int]) -> None:
     """Have one handler of ``sender`` send Notes ``first...`` and wait until
@@ -314,11 +327,13 @@ def test_ping_pong_never_wakes_the_loop_and_a_burst_still_coalesces():
     try:
         a.send(b.address, 200, lane=9)  # warm-up: dial, hello, 200 legs
         assert wait_until(lambda: 0 in a.lanes.get(9, []) + b.lanes.get(9, []), timeout=20)
+        _settled(net_a, net_b)
         warm_a, warm_b = net_a.status_snapshot(), net_b.status_snapshot()
         a.lanes.clear(), b.lanes.clear()
 
         a.send(b.address, 1000, lane=9)  # 1001 legs, one message in flight at a time
         assert wait_until(lambda: 0 in a.lanes.get(9, []) + b.lanes.get(9, []), timeout=30)
+        _settled(net_a, net_b)
         after_a, after_b = net_a.status_snapshot(), net_b.status_snapshot()
         for warm, after in ((warm_a, after_a), (warm_b, after_b)):
             assert after["loop_wakeups"] == warm["loop_wakeups"]
@@ -329,6 +344,7 @@ def test_ping_pong_never_wakes_the_loop_and_a_burst_still_coalesces():
         # written by b's worker when the handler returns.
         a.trigger(Burst(a.address, b.address, count=64), a.network)
         assert wait_until(lambda: a.lanes.get(5) == list(range(64)), timeout=20)
+        _settled(net_b)
         burst = net_b.status_snapshot()
         assert burst["batched_messages"] - after_b["batched_messages"] == 64
         assert burst["batches"] - after_b["batches"] == 1
