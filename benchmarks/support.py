@@ -111,7 +111,7 @@ class LocalCatsCluster:
         class Main(ComponentDefinition):
             def __init__(inner) -> None:
                 super().__init__()
-                built["sim"] = inner.create(CatsSimulator, self.config, mode="local")
+                built["sim"] = inner.create(CatsSimulator, self.config)
                 built["driver"] = inner.create(BlockingDriver)
                 built["main"] = inner
 

@@ -9,7 +9,7 @@ data survives the failure.
 Run:  python examples/kvstore_cluster.py
 """
 
-import threading
+import sys
 import time
 
 from repro import ComponentDefinition, ComponentSystem, WorkStealingScheduler, handles
@@ -39,7 +39,6 @@ class ClusterMain(ComponentDefinition):
                 fd_interval=0.4,
                 op_timeout=1.0,
             ),
-            mode="local",
         )
 
 
@@ -56,7 +55,7 @@ def wait_for(predicate, timeout=15.0) -> bool:
     return predicate()
 
 
-def main() -> None:
+def main() -> int:
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=4))
     root = system.bootstrap(ClusterMain)
     simulator = root.definition.sim.definition
@@ -96,6 +95,7 @@ def main() -> None:
     print(f"\nstats: {stats.puts_completed} puts, {stats.gets_completed} gets, "
           f"{stats.failures} failures injected")
     system.shutdown()
+    return 0 if ok else 1
 
 
 #: Root component for aggregate wiring verification
@@ -104,4 +104,4 @@ WIRING_ROOT = ClusterMain
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

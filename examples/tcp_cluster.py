@@ -13,13 +13,14 @@ docs/internals.md, "Network backend"), as ``python -m repro.cats`` uses.
 Run:  python examples/tcp_cluster.py
 """
 
+import sys
 import time
 
 from repro import ComponentDefinition, ComponentSystem, WorkStealingScheduler, handles
 from repro.cats import (
     CatsClient,
     CatsConfig,
-    CatsNode,
+    CatsHost,
     GetRequest,
     GetResponse,
     KeySpace,
@@ -29,45 +30,8 @@ from repro.cats import (
     RemoteApiServer,
 )
 from repro.network import Address, AioTcpNetwork, Network
-from repro.protocols.bootstrap import BootstrapServer
-from repro.timer import ThreadTimer, Timer
-
-
-class BootstrapHost(ComponentDefinition):
-    def __init__(self) -> None:
-        super().__init__()
-        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=0))
-        self.address = net.definition.address
-        timer = self.create(ThreadTimer)
-        server = self.create(BootstrapServer, self.address)
-        self.connect(net.provided(Network), server.required(Network))
-        self.connect(timer.provided(Timer), server.required(Timer))
-
-
-class CatsTcpHost(ComponentDefinition):
-    """One CATS node over TCP, with the remote API next to it."""
-
-    def __init__(self, node_id: int, bootstrap: Address) -> None:
-        super().__init__()
-        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id=node_id))
-        self.address = net.definition.address
-        timer = self.create(ThreadTimer)
-        self.node = self.create(
-            CatsNode,
-            self.address,
-            CatsConfig(
-                key_space=KeySpace(bits=16),
-                replication_degree=3,
-                bootstrap_server=bootstrap,
-                stabilize_period=0.3,
-                fd_interval=0.5,
-            ),
-        )
-        api = self.create(RemoteApiServer, self.address)
-        for child in (self.node, api):
-            self.connect(net.provided(Network), child.required(Network))
-        self.connect(timer.provided(Timer), self.node.required(Timer))
-        self.connect(self.node.provided(PutGet), api.required(PutGet))
+from repro.protocols.bootstrap import BootstrapHost
+from repro.timer import ThreadTimer
 
 
 class ClientHost(ComponentDefinition):
@@ -127,17 +91,34 @@ def wait_for(predicate, timeout=20.0) -> bool:
 class Main(ComponentDefinition):  # repro: noqa[P006]
     def __init__(self) -> None:
         super().__init__()
-        self.bootstrap = self.create(BootstrapHost)
-        self.nodes = [
-            self.create(CatsTcpHost, node_id, self.bootstrap.definition.address)
-            for node_id in (8_000, 28_000, 48_000)
-        ]
+        self.bootstrap = self.create(BootstrapHost, Address("127.0.0.1", 0))
+        config = CatsConfig(
+            key_space=KeySpace(bits=16),
+            replication_degree=3,
+            bootstrap_server=self.bootstrap.definition.address,
+            stabilize_period=0.3,
+            fd_interval=0.5,
+        )
+        self.nodes = []
+        for node_id in (8_000, 28_000, 48_000):
+            host = self.create(
+                CatsHost,
+                Address("127.0.0.1", 0, node_id=node_id),
+                config,
+                AioTcpNetwork,
+                ThreadTimer,
+            )
+            # The remote API sits beside each host, on the host's ports.
+            api = self.create(RemoteApiServer, host.definition.address)
+            self.connect(host.provided(Network), api.required(Network))
+            self.connect(host.provided(PutGet), api.required(PutGet))
+            self.nodes.append(host)
         self.client_host = self.create(
             ClientHost, self.nodes[0].definition.address
         )
 
 
-def main() -> None:
+def main() -> int:
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=4))
     root = system.bootstrap(Main)
     main_def = root.definition
@@ -164,6 +145,7 @@ def main() -> None:
     kind, found, value = app.results[2]
     print(f"\nround trip over real sockets: got {value!r} (found={found})")
     system.shutdown()
+    return 0 if (found, value) == (True, 42) else 1
 
 
 #: Root component for aggregate wiring verification
@@ -172,4 +154,4 @@ WIRING_ROOT = Main
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -11,11 +11,12 @@ then open the printed URL (the script also fetches it itself).
 """
 
 import json
+import sys
 import time
 import urllib.request
 
 from repro import ComponentDefinition, ComponentSystem, WorkStealingScheduler
-from repro.cats import CatsConfig, CatsNode, KeySpace
+from repro.cats import CatsConfig, CatsHost, KeySpace
 from repro.network import LoopbackNetwork, Network, local_address
 from repro.protocols.monitor import MonitorServer
 from repro.protocols.web import Web, WebServer
@@ -36,26 +37,6 @@ class MonitorHost(ComponentDefinition):
         self.connect(server.provided(Web), self.web.required(Web))
 
 
-class NodeHost(ComponentDefinition):
-    def __init__(self, node_id: int, monitor, seeds) -> None:
-        super().__init__()
-        address = local_address(node_id, node_id=node_id)
-        net = self.create(LoopbackNetwork, address)
-        timer = self.create(ThreadTimer)
-        self.node = self.create(
-            CatsNode,
-            address,
-            CatsConfig(
-                key_space=KeySpace(bits=16),
-                monitor_server=monitor,
-                seeds=seeds,
-                stabilize_period=0.3,
-            ),
-        )
-        self.connect(net.provided(Network), self.node.required(Network))
-        self.connect(timer.provided(Timer), self.node.required(Timer))
-
-
 # Assembly root: holds child Component handles, which are the unit of
 # shard placement — the root moves with its whole subtree (or not at
 # all), so section-2.6 migration hooks do not apply.
@@ -67,12 +48,19 @@ class Main(ComponentDefinition):  # repro: noqa[P006]
         seeds = ()
         self.nodes = []
         for node_id in (10_000, 30_000, 50_000):
-            host = self.create(NodeHost, node_id, monitor_addr, seeds)
+            config = CatsConfig(
+                key_space=KeySpace(bits=16),
+                monitor_server=monitor_addr,
+                seeds=seeds,
+                stabilize_period=0.3,
+            )
+            address = local_address(node_id, node_id=node_id)
+            host = self.create(CatsHost, address, config, LoopbackNetwork, ThreadTimer)
             seeds = (local_address(10_000, node_id=10_000),)
             self.nodes.append(host)
 
 
-def main() -> None:
+def main() -> int:
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=3))
     root = system.bootstrap(Main)
     url = root.definition.monitor.definition.web.definition.url
@@ -95,6 +83,7 @@ def main() -> None:
     print(f"\nHTML page served: {len(html)} bytes, "
           f"title present: {'<h1>Global view' in html}")
     system.shutdown()
+    return 0 if len(view) == 3 and "<h1>Global view" in html else 1
 
 
 #: Root component for aggregate wiring verification
@@ -103,4 +92,4 @@ WIRING_ROOT = Main
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

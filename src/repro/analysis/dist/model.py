@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..program import (
     COMPONENT_ROOT,
@@ -59,6 +59,10 @@ RESOURCE_PREFIXES = (
 
 #: Builtins/calls that open OS resources regardless of import table.
 RESOURCE_BUILTINS = frozenset({"open"})
+
+#: Calls returning a pair of OS resources: unpacked into two targets,
+#: both hold one.
+PAIR_RESOURCE_CALLS = frozenset({"socket.socketpair", "os.pipe", "multiprocessing.Pipe"})
 
 #: Framework runtime objects that are meaningless in another process.
 RUNTIME_NAMES = frozenset(
@@ -258,7 +262,7 @@ class ComponentModel:
     has_state_hooks: bool = False
 
 
-def _is_mutable_value(value: ast.expr) -> bool:
+def _is_mutable_value(value: Optional[ast.expr]) -> bool:
     if isinstance(
         value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
     ):
@@ -269,7 +273,7 @@ def _is_mutable_value(value: ast.expr) -> bool:
     return False
 
 
-def _resource_call(value: ast.expr, module: ModuleInfo) -> Optional[str]:
+def _resource_call(value: Optional[ast.expr], module: ModuleInfo) -> Optional[str]:
     """Dotted name of an OS-resource constructor call, or None."""
     if not isinstance(value, ast.Call):
         return None
@@ -283,6 +287,27 @@ def _resource_call(value: ast.expr, module: ModuleInfo) -> Optional[str]:
         if dotted.startswith(prefix):
             return dotted
     return None
+
+
+def _bindings(
+    target: ast.expr, value: Optional[ast.expr], module: ModuleInfo
+) -> Iterator[tuple[ast.expr, Optional[ast.expr], Optional[str]]]:
+    """``(target, value, resource)`` for each single target an assignment
+    binds.  Tuple and list targets unpack a tuple or list value pairwise;
+    unpacking a pair-returning call gives both targets its resource; an
+    unpacked value the model cannot split binds nothing it knows."""
+    if not isinstance(target, (ast.Tuple, ast.List)):
+        yield target, value, _resource_call(value, module)
+        return
+    if isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(target.elts):
+        for part, part_value in zip(target.elts, value.elts):
+            yield from _bindings(part, part_value, module)
+        return
+    if isinstance(value, ast.Call) and len(target.elts) == 2:
+        pair = _resolve_dotted(value.func, module)
+        if pair in PAIR_RESOURCE_CALLS:
+            for part in target.elts:
+                yield part, None, pair
 
 
 def build_component_model(
@@ -311,14 +336,14 @@ def build_component_model(
             else:
                 continue
             for target in targets:
-                attr = self_attr(target, selfname)
-                if attr is None:
-                    continue
-                if _is_mutable_value(value):
-                    model.mutable_attrs.setdefault(attr, stmt.lineno)
-                resource = _resource_call(value, info.module)
-                if resource is not None:
-                    model.resource_attrs.append((attr, resource, stmt.lineno))
+                for single, part, resource in _bindings(target, value, info.module):
+                    attr = self_attr(single, selfname)
+                    if attr is None:
+                        continue
+                    if _is_mutable_value(part):
+                        model.mutable_attrs.setdefault(attr, stmt.lineno)
+                    if resource is not None:
+                        model.resource_attrs.append((attr, resource, stmt.lineno))
     return model
 
 

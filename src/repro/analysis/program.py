@@ -299,6 +299,17 @@ def parse_module(path: Path) -> Optional[ModuleInfo]:
     return module
 
 
+def module_name(path: Path) -> str:
+    """The dotted name ``path`` imports as, from the package folders above it."""
+    path = path.resolve()
+    parts = [] if path.stem == "__init__" else [path.stem]
+    folder = path.parent
+    while (folder / "__init__.py").is_file():
+        parts.insert(0, folder.name)
+        folder = folder.parent
+    return ".".join(parts)
+
+
 def _framework_registry_paths() -> list[Path]:
     """The installed ``repro`` package, indexed (not reported on) for type info."""
     try:
@@ -353,10 +364,12 @@ class Program:
             module = parse_module(path)
             if module is not None:
                 scanned[str(module.path)] = module
-        seen = {module.path.resolve() for module in scanned.values()}
+        # By module name, not by file: a scanned copy of the framework
+        # replaces the importable one even where the two paths differ.
+        seen = {module_name(module.path) for module in scanned.values()}
         context: list[ModuleInfo] = []
         for path in iter_python_files(_framework_registry_paths()):
-            if path.resolve() in seen:
+            if module_name(path) in seen:
                 continue
             module = parse_module(path)
             if module is not None:

@@ -23,7 +23,7 @@ from .events import (
     new_op_id,
 )
 from .key import KeySpace
-from .node import CatsConfig, CatsNode
+from .node import CatsConfig, CatsHost, CatsNode
 from .remote import CatsClient, RemoteApiServer
 from .ring import CatsRing
 from .simulator import (
@@ -35,7 +35,6 @@ from .simulator import (
     JoinNode,
     LookupCmd,
     PutCmd,
-    SimulatedCatsHost,
 )
 from .store import LocalStore, Record
 from .webapp import CatsWebApplication
@@ -44,6 +43,7 @@ from .workload import WorkloadGenerator, WorkloadOp, WorkloadSpec
 __all__ = [
     "CatsClient",
     "CatsConfig",
+    "CatsHost",
     "CatsNode",
     "CatsRing",
     "CatsSimulator",
@@ -71,7 +71,6 @@ __all__ = [
     "RingLookupResponse",
     "RingNeighbors",
     "RingReady",
-    "SimulatedCatsHost",
     "View",
     "ViewStatus",
     "WorkloadGenerator",

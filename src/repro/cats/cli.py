@@ -23,12 +23,13 @@ import sys
 import threading
 from typing import Optional
 
+from ..core.channel import connect
 from ..core.component import ComponentDefinition
 from ..core.handler import handles
 from ..network.address import Address
 from ..network.aio import AioTcpNetwork
 from ..network.message import Network
-from ..protocols.bootstrap.server import BootstrapServer
+from ..protocols.bootstrap.server import BootstrapHost
 from ..protocols.monitor.server import MonitorServer
 from ..protocols.web.port import Web
 from ..protocols.web.server import WebServer
@@ -38,8 +39,8 @@ from ..timer.port import Timer
 from ..timer.thread_timer import ThreadTimer
 from .events import GetRequest, GetResponse, PutGet, PutRequest, PutResponse, new_op_id
 from .key import KeySpace
-from .node import CatsConfig, CatsNode
-from .remote import CatsClient, RemoteApiServer
+from .node import CatsConfig, CatsHost
+from .remote import CatsClient, serve_remote_api
 
 
 def parse_address(text: str, node_id: Optional[int] = None) -> Address:
@@ -50,17 +51,6 @@ def parse_address(text: str, node_id: Optional[int] = None) -> Address:
 
 
 # ---------------------------------------------------------------- components
-
-
-class _BootstrapMain(ComponentDefinition):
-    def __init__(self, address: Address) -> None:
-        super().__init__()
-        net = self.create(AioTcpNetwork, address)
-        self.address = net.definition.address
-        timer = self.create(ThreadTimer)
-        server = self.create(BootstrapServer, self.address)
-        self.connect(net.provided(Network), server.required(Network))
-        self.connect(timer.provided(Timer), server.required(Timer))
 
 
 class _MonitorMain(ComponentDefinition):
@@ -74,26 +64,6 @@ class _MonitorMain(ComponentDefinition):
         self.connect(timer.provided(Timer), server.required(Timer))
         self.web = self.create(WebServer, port=web_port)
         self.connect(server.provided(Web), self.web.required(Web))
-
-
-class _NodeMain(ComponentDefinition):
-    def __init__(
-        self, address: Address, config: CatsConfig, web_port: Optional[int]
-    ) -> None:
-        super().__init__()
-        net = self.create(AioTcpNetwork, address)
-        self.address = net.definition.address.with_id(address.node_id)
-        timer = self.create(ThreadTimer)
-        self.node = self.create(CatsNode, self.address, config)
-        api = self.create(RemoteApiServer, self.address)
-        for child in (self.node, api):
-            self.connect(net.provided(Network), child.required(Network))
-        self.connect(timer.provided(Timer), self.node.required(Timer))
-        self.connect(self.node.provided(PutGet), api.required(PutGet))
-        self.web = None
-        if web_port is not None:
-            self.web = self.create(WebServer, port=web_port)
-            self.connect(self.node.provided(Web), self.web.required(Web))
 
 
 class _OneShotClient(ComponentDefinition):
@@ -138,7 +108,7 @@ def _serve(system: ComponentSystem, banner: str) -> None:
 
 def run_bootstrap_server(args) -> int:
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=2))
-    root = system.bootstrap(_BootstrapMain, Address(args.host, args.port))
+    root = system.bootstrap(BootstrapHost, Address(args.host, args.port))
     _serve(system, f"bootstrap server on {root.definition.address}")
     return 0
 
@@ -162,16 +132,19 @@ def run_node(args) -> int:
         monitor_server=args.monitor,
     )
     system = ComponentSystem(scheduler=WorkStealingScheduler(workers=args.workers))
-    root = system.bootstrap(
-        _NodeMain,
+    host = system.bootstrap(
+        CatsHost,
         Address(args.host, args.port, args.node_id),
         config,
-        args.web_port,
+        AioTcpNetwork,
+        ThreadTimer,
     )
-    main = root.definition
-    banner = f"CATS node {main.address}"
-    if main.web is not None:
-        banner += f"; status page at {main.web.definition.url}/"
+    serve_remote_api(host)
+    banner = f"CATS node {host.definition.address}"
+    if args.web_port is not None:
+        web = system.bootstrap(WebServer, port=args.web_port)
+        connect(host.provided(Web), web.required(Web))
+        banner += f"; status page at {web.definition.url}/"
     _serve(system, banner)
     return 0
 

@@ -14,6 +14,7 @@ The composite hides all event-driven control flow from clients — the
 encapsulation argument of the paper — and delegates its provided PutGet and
 Ring ports to the inner components.  The node joins the ring when started:
 either through the bootstrap service or from explicitly configured seeds.
+:class:`CatsHost` deploys one node on a given network and timer (Fig 12).
 """
 
 from __future__ import annotations
@@ -268,3 +269,36 @@ class CatsNode(ComponentDefinition):
                 ("fd", self.fd.definition),
             )
         ]
+
+
+class CatsHost(ComponentDefinition):
+    """One machine: a network, a timer and a CatsNode (paper Fig 12).
+
+    ``network`` and ``timer`` are the provider classes; swapping them is
+    the whole difference between a deployment kind: ``EmulatedNetwork`` +
+    ``SimTimer`` under simulation, ``LoopbackNetwork`` + ``ThreadTimer``
+    in one real-time process, ``AioTcpNetwork`` + ``ThreadTimer`` over
+    sockets.  The address is the one the network ends up with (an aio
+    listener binds port 0).  The node's Ring, PutGet and Web ports and
+    the network's Network port are delegated to the host's boundary, so
+    whatever sits beside a host (a ``RemoteApiServer``, a ``WebServer``,
+    the simulator) wires to the host as a unit.
+    """
+
+    def __init__(
+        self,
+        address: Address,
+        config: CatsConfig,
+        network: type[ComponentDefinition],
+        timer: type[ComponentDefinition],
+    ) -> None:
+        super().__init__()
+        net = self.create(network, address)
+        self.address = net.definition.address
+        clock = self.create(timer)
+        self.node = self.create(CatsNode, self.address, config)
+        self.connect(net.provided(Network), self.node.required(Network))
+        self.connect(clock.provided(Timer), self.node.required(Timer))
+        self.connect(net.provided(Network), self.provides(Network))
+        for port_type in (Ring, PutGet, Web):
+            self.connect(self.node.provided(port_type), self.provides(port_type))

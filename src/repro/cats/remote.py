@@ -2,8 +2,9 @@
 
 Paper Fig 10: the CATS Client issues functional requests to a CATS Node
 over the PutGet port.  For deployments where the client runs in another
-process, :class:`RemoteApiServer` (embedded next to a CatsNode) bridges
-ClientPut/ClientGet messages onto the node's PutGet port, and
+process, :class:`RemoteApiServer` (beside a :class:`~repro.cats.node.CatsHost`,
+on the host's Network and PutGet ports) bridges ClientPut/ClientGet
+messages onto the node's PutGet port, and
 :class:`CatsClient` provides the same PutGet abstraction to local
 applications while executing every operation remotely.
 """
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.component import ComponentDefinition
+from ..core.channel import connect
+from ..core.component import Component, ComponentDefinition
 from ..core.handler import handles
 from ..network.address import Address
 from ..network.compact import Value, register_compact
@@ -128,6 +130,19 @@ class RemoteApiServer(ComponentDefinition):
 
     def load_state(self, state: dict[int, tuple[Address, int]]) -> None:
         self._pending = dict(state)
+
+
+def serve_remote_api(host: Component) -> Component:
+    """Bootstrap a RemoteApiServer beside ``host``, a root CatsHost.
+
+    Both are roots of the same system; the server shares the host's
+    Network and PutGet ports.  A composite that creates its hosts as
+    children wires the same two channels to its own RemoteApiServer.
+    """
+    api = host.core.system.bootstrap(RemoteApiServer, host.definition.address)
+    connect(host.provided(Network), api.required(Network))
+    connect(host.provided(PutGet), api.required(PutGet))
+    return api
 
 
 class CatsClient(ComponentDefinition):

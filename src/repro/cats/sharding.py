@@ -3,9 +3,10 @@
 This is the CATS face of :mod:`repro.runtime.shard` — paper Fig 10's
 deployment, assembled the way ``python -m repro.cats node`` assembles it
 and spread over worker processes.  Each worker hosts a slice of the ring
-(:class:`ShardCatsHost` roots, each on its own ``AioTcpNetwork``); the
-coordinator process hosts the ``BootstrapServer`` the nodes find each
-other through, runs the client plane (CatsClient on its own
+(:class:`~repro.cats.node.CatsHost` roots, each on its own
+``AioTcpNetwork`` with a ``RemoteApiServer`` beside it); the coordinator
+process hosts the ``BootstrapHost`` the nodes find each other through,
+runs the client plane (CatsClient on its own
 ``AioTcpNetwork``) and records an operation
 :class:`~repro.consistency.history.History` for linearizability checking.
 
@@ -26,9 +27,8 @@ from ..core.handler import handles
 from ..network.address import Address
 from ..network.aio import AioTcpNetwork
 from ..network.message import Network
-from ..protocols.bootstrap.server import BootstrapServer
+from ..protocols.bootstrap.server import BootstrapHost
 from ..runtime.shard import ShardCluster, ShardSpec
-from ..timer.port import Timer
 from ..timer.thread_timer import ThreadTimer
 from .events import (
     GetRequest,
@@ -39,11 +39,10 @@ from .events import (
     new_op_id,
 )
 from .key import KeySpace
-from .node import CatsConfig, CatsNode
-from .remote import CatsClient, RemoteApiServer
+from .node import CatsConfig, CatsHost
+from .remote import CatsClient, serve_remote_api
 
 __all__ = [
-    "ShardCatsHost",
     "CatsShardCoordinator",
     "cats_shard_worker",
 ]
@@ -62,26 +61,6 @@ def _make_config(bootstrap: Address, overrides: dict) -> CatsConfig:
     return CatsConfig(**defaults)
 
 
-class ShardCatsHost(ComponentDefinition):
-    """One CATS node inside a shard worker: AioTcpNetwork + ThreadTimer +
-    CatsNode + RemoteApiServer, the per-node assembly of Fig 10."""
-
-    def __init__(self, node_id: int, bootstrap: Address,
-                 config_overrides: Optional[dict] = None) -> None:
-        super().__init__()
-        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0, node_id))
-        self.address = net.definition.address
-        timer = self.create(ThreadTimer)
-        self.node = self.create(
-            CatsNode, self.address, _make_config(bootstrap, config_overrides or {})
-        )
-        api = self.create(RemoteApiServer, self.address)
-        for child in (self.node, api):
-            self.connect(net.provided(Network), child.required(Network))
-        self.connect(timer.provided(Timer), self.node.required(Timer))
-        self.connect(self.node.provided(PutGet), api.required(PutGet))
-
-
 def cats_shard_worker(context, node_ids, bootstrap, config_overrides) -> None:
     """Worker builder: host ``node_ids``, joining through ``bootstrap``.
 
@@ -89,11 +68,17 @@ def cats_shard_worker(context, node_ids, bootstrap, config_overrides) -> None:
     runs in a fresh spawned interpreter.
     """
     system = context.make_system()
+    config = _make_config(bootstrap, config_overrides)
     hosts = {}
     for node_id in node_ids:
         component = system.bootstrap(
-            ShardCatsHost, node_id, bootstrap, dict(config_overrides)
+            CatsHost,
+            Address("127.0.0.1", 0, node_id),
+            config,
+            AioTcpNetwork,
+            ThreadTimer,
         )
+        serve_remote_api(component)
         hosts[node_id] = component.definition
         context.register_address(component.definition.address)
 
@@ -166,20 +151,6 @@ class _ClientRecorder(ComponentDefinition):
         self._pending = dict(state)
 
 
-class _BootstrapHost(ComponentDefinition):
-    """The coordinator's bootstrap service, through which the workers'
-    nodes find each other (``python -m repro.cats bootstrap-server``)."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        net = self.create(AioTcpNetwork, Address("127.0.0.1", 0))
-        self.address = net.definition.address
-        timer = self.create(ThreadTimer)
-        server = self.create(BootstrapServer, self.address)
-        self.connect(net.provided(Network), server.required(Network))
-        self.connect(timer.provided(Timer), server.required(Timer))
-
-
 class _ClientHost(ComponentDefinition):
     """The coordinator-side client plane: AioTcpNetwork + CatsClient."""
 
@@ -228,7 +199,9 @@ class CatsShardCoordinator:
         self.system = ComponentSystem(name="shard-coordinator")
         self.cluster: Optional[ShardCluster] = None
         try:
-            bootstrap = self.system.bootstrap(_BootstrapHost).definition.address
+            bootstrap = self.system.bootstrap(
+                BootstrapHost, Address("127.0.0.1", 0)
+            ).definition.address
             self.cluster = ShardCluster([
                 ShardSpec(
                     "repro.cats.sharding:cats_shard_worker",

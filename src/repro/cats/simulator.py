@@ -2,15 +2,16 @@
 
 Interprets experiment commands — create/start a node, stop/destroy a node,
 issue lookups, puts and gets — by dynamically creating and destroying
-simulated node composites (an EmulatedNetwork + SimTimer + CatsNode each),
-exactly the role of the paper's CATS Simulator component.  Dynamic node
-churn is where Kompics' hierarchical composition and dynamic
-reconfiguration pay off: a node is one subtree, created and destroyed as a
-unit.
+:class:`~repro.cats.node.CatsHost` composites, exactly the role of the
+paper's CATS Simulator component.  Dynamic node churn is where Kompics'
+hierarchical composition and dynamic reconfiguration pay off: a node is
+one subtree, created and destroyed as a unit.
 
-The same component also runs under the real-time runtime (loopback network
-+ thread timer) for the paper's local interactive stress-test mode; pass
-``mode="local"``.
+Under a :class:`~repro.simulation.Simulation` each host gets an
+EmulatedNetwork and a SimTimer; under the real-time runtime it gets a
+LoopbackNetwork and a ThreadTimer — the paper's local interactive
+stress-test mode.  The system the simulator runs in decides; the host and
+node code are the same.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from ..consistency.history import History, NOT_FOUND
 from ..core.port import PortType
 from ..network.address import Address, local_address
 from ..network.loopback import LoopbackNetwork
-from ..network.message import Network
+from ..simulation.core import is_simulated
 from ..simulation.emulator import EmulatedNetwork
 from ..simulation.sim_timer import SimTimer
-from ..timer.port import Timer
 from ..timer.thread_timer import ThreadTimer
 from .events import (
     GetRequest,
@@ -41,7 +41,7 @@ from .events import (
     RingLookupResponse,
     new_op_id,
 )
-from .node import CatsConfig, CatsNode
+from .node import CatsConfig, CatsHost
 
 
 # ------------------------------------------------------- experiment events
@@ -89,35 +89,6 @@ class Experiment(PortType):
     negative = (JoinNode, FailNode, LookupCmd, PutCmd, GetCmd)
 
 
-# ----------------------------------------------------------- node composite
-
-
-class SimulatedCatsHost(ComponentDefinition):
-    """One simulated machine: network + timer + a CatsNode.
-
-    The node's Ring and PutGet ports are delegated to the host's boundary so
-    the driver interacts with the host as a unit instead of reaching into
-    its internals.
-    """
-
-    def __init__(self, address: Address, config: CatsConfig, mode: str) -> None:
-        super().__init__()
-        self.address = address
-        self.ring = self.provides(Ring)
-        self.putget = self.provides(PutGet)
-        if mode == "simulation":
-            net = self.create(EmulatedNetwork, address)
-            timer = self.create(SimTimer)
-        else:
-            net = self.create(LoopbackNetwork, address)
-            timer = self.create(ThreadTimer)
-        self.node = self.create(CatsNode, address, config)
-        self.connect(net.provided(Network), self.node.required(Network))
-        self.connect(timer.provided(Timer), self.node.required(Timer))
-        self.connect(self.node.provided(Ring), self.ring)
-        self.connect(self.node.provided(PutGet), self.putget)
-
-
 @dataclass(slots=True)
 class ExperimentStats:
     """What the driver observed (virtual or wall-clock time units)."""
@@ -148,14 +119,15 @@ class CatsSimulator(ComponentDefinition):  # repro: noqa[P006]
         self,
         config: Optional[CatsConfig] = None,
         seeds_per_join: int = 3,
-        mode: str = "simulation",
     ) -> None:
         super().__init__()
-        if mode not in ("simulation", "local"):
-            raise ValueError("mode must be 'simulation' or 'local'")
         self.config = config or CatsConfig()
         self.seeds_per_join = seeds_per_join
-        self.mode = mode
+        self._providers = (
+            (EmulatedNetwork, SimTimer)
+            if is_simulated(self.system)
+            else (LoopbackNetwork, ThreadTimer)
+        )
         self.experiment = self.provides(Experiment)
         self.hosts: dict[int, object] = {}  # node_id -> Component (host)
         self.stats = ExperimentStats()
@@ -180,7 +152,7 @@ class CatsSimulator(ComponentDefinition):  # repro: noqa[P006]
         seeds = self._pick_seeds()
         address = local_address(node_id, node_id=node_id)
         config = self._config_with_seeds(seeds)
-        host = self.create(SimulatedCatsHost, address, config, self.mode)
+        host = self.create(CatsHost, address, config, *self._providers)
         self.hosts[node_id] = host
         self.subscribe(self.on_lookup_response, host.provided(Ring))
         self.subscribe(self.on_put_response, host.provided(PutGet))

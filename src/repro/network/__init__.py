@@ -3,8 +3,7 @@
 Interchangeable providers of the same Network port (the paper's
 MINA/Netty/Grizzly pluggability, section 3):
 
-- :class:`LoopbackNetwork` — in-process routing (local stress-test mode),
-  and :class:`DelayedLoopbackNetwork` with a latency/loss model;
+- :class:`LoopbackNetwork` — in-process routing (local stress-test mode);
 - :class:`AioTcpNetwork` — real sockets, framing, compression: deployed
   nodes and shard workers alike;
 - :class:`repro.simulation.emulator.EmulatedNetwork` — simulated latency
@@ -13,7 +12,6 @@ MINA/Netty/Grizzly pluggability, section 3):
 
 from .address import Address, local_address
 from .compact import CompactCodec, register_compact
-from .delayed import DelayedLoopbackNetwork
 from .loopback import LoopbackHub, LoopbackNetwork, hub_of
 from .message import Message, Network, NetworkControlMessage
 from .serialization import (
@@ -35,7 +33,6 @@ __all__ = [
     "AioTcpNetwork",
     "Codec",
     "CompactCodec",
-    "DelayedLoopbackNetwork",
     "FrameCodec",
     "FrameStreamParser",
     "LoopbackHub",

@@ -233,7 +233,7 @@ class AioTcpNetwork(ComponentDefinition):  # repro: noqa[P006]
         self._closing = False
 
         self._selector = selectors.DefaultSelector()  # repro: noqa[D004]
-        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r, self._wake_w = socket.socketpair()  # repro: noqa[D004]
         self._wake_r.setblocking(False)
         self._waked = False
         self._dirty: deque[_Peer] = deque()

@@ -4,23 +4,17 @@ This is the transport behind the paper's "local, interactive, stress-test
 execution" mode (Fig 12 right): every node lives in one OS process, each
 with its own LoopbackNetwork component; a shared per-system hub routes
 messages by destination address, synchronously and in FIFO order.
-
-By default messages are passed by reference (zero-copy).  With
-``serialize=True`` every message round-trips through the frame codec,
-exercising the serialization path without sockets — useful to measure
-codec cost (benchmarks) and to catch unpicklable messages early.
+Messages are passed by reference (zero-copy).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional
 
 from ..core.component import ComponentDefinition
 from ..core.handler import handles
 from .address import Address
 from .message import Message, Network
-from .serialization import FrameCodec
 
 
 class LoopbackHub:
@@ -66,11 +60,10 @@ def hub_of(system) -> LoopbackHub:
 class LoopbackNetwork(ComponentDefinition):
     """Provides Network for one node address within the process."""
 
-    def __init__(self, address: Address, serialize: bool = False) -> None:
+    def __init__(self, address: Address) -> None:
         super().__init__()
         self.address = address
         self.port = self.provides(Network)
-        self._codec: Optional[FrameCodec] = FrameCodec() if serialize else None
         self._hub = hub_of(self.system)
         self._hub.register(address, self)
         self.sent = 0
@@ -80,8 +73,6 @@ class LoopbackNetwork(ComponentDefinition):
     @handles(Message)
     def on_send(self, message: Message) -> None:
         self.sent += 1
-        if self._codec is not None:
-            message = self._codec.unframe(self._codec.frame(message))
         self._hub.route(message)
 
     def deliver(self, message: Message) -> None:

@@ -10,12 +10,13 @@ from .events import (
     GetPeersResponse,
     KeepAlive,
 )
-from .server import BootstrapServer
+from .server import BootstrapHost, BootstrapServer
 
 __all__ = [
     "Bootstrap",
     "BootstrapClient",
     "BootstrapDone",
+    "BootstrapHost",
     "BootstrapRequest",
     "BootstrapResponse",
     "BootstrapServer",

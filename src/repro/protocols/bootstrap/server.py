@@ -1,7 +1,8 @@
 """BootstrapServer: maintains the list of online nodes of a system instance.
 
 Nodes that have joined send periodic keep-alives; the server evicts nodes
-whose keep-alives stop (paper section 4.1).
+whose keep-alives stop (paper section 4.1).  :class:`BootstrapHost` is the
+deployed service: the server on its own TCP endpoint and thread timer.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from ...core.component import ComponentDefinition
 from ...core.handler import handles
 from ...core.lifecycle import Start
 from ...network.address import Address
+from ...network.aio import AioTcpNetwork
 from ...network.message import Network
 from ...timer.port import SchedulePeriodicTimeout, Timeout, Timer, new_timeout_id
+from ...timer.thread_timer import ThreadTimer
 from .events import GetPeersRequest, GetPeersResponse, KeepAlive
 
 
@@ -121,3 +124,20 @@ class BootstrapServer(ComponentDefinition):
         self._last_seen = dict(state["last_seen"])
         self._creation_grant = state["creation_grant"]
         self.requests_served = state["requests_served"]
+
+
+class BootstrapHost(ComponentDefinition):
+    """A BootstrapServer on its own AioTcpNetwork and ThreadTimer.
+
+    ``address`` is where to listen; port 0 binds a free port, and
+    ``self.address`` is the address the listener ended up with.
+    """
+
+    def __init__(self, address: Address) -> None:
+        super().__init__()
+        net = self.create(AioTcpNetwork, address)
+        self.address = net.definition.address
+        timer = self.create(ThreadTimer)
+        server = self.create(BootstrapServer, self.address)
+        self.connect(net.provided(Network), server.required(Network))
+        self.connect(timer.provided(Timer), server.required(Timer))

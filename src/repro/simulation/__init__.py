@@ -7,7 +7,7 @@ drop-in providers of the Timer and Network abstractions; the scenario DSL
 composes stochastic processes into reproducible experiments.
 """
 
-from .core import QUEUE_SERVICE, Simulation, queue_of
+from .core import QUEUE_SERVICE, Simulation, is_simulated, queue_of
 from .distributions import (
     Constant,
     Distribution,
@@ -62,6 +62,7 @@ __all__ = [
     "constant",
     "emulator_of",
     "exponential",
+    "is_simulated",
     "key_uniform",
     "make_event_queue",
     "normal",

@@ -186,12 +186,16 @@ class Simulation:
         self.system.shutdown()
 
 
+def is_simulated(system: ComponentSystem) -> bool:
+    """True when ``system`` is the component system of a :class:`Simulation`."""
+    return QUEUE_SERVICE in system.services
+
+
 def queue_of(system: ComponentSystem):
     """The simulation event queue of ``system`` (simulation mode only)."""
-    queue = system.services.get(QUEUE_SERVICE)
-    if queue is None:
+    if not is_simulated(system):
         raise SimulationError(
             "this ComponentSystem is not running in simulation mode "
             f"(no {QUEUE_SERVICE!r} service)"
         )
-    return queue  # type: ignore[return-value]
+    return system.services[QUEUE_SERVICE]

@@ -28,11 +28,10 @@ from functools import partial
 from typing import Optional
 
 from ..core.component import ComponentDefinition
-from ..core.errors import SimulationError
 from ..core.handler import handles
 from ..network.address import Address
 from ..network.message import Message, Network
-from .core import QUEUE_SERVICE, Simulation
+from .core import queue_of
 from .event_queue import EventQueue
 from .latency import ConstantLatency, LatencyModel
 
@@ -129,14 +128,9 @@ class EmulatorCore:
 def emulator_of(system) -> EmulatorCore:
     """Fetch or lazily create the system's emulator core (simulation only)."""
     if EMULATOR_SERVICE not in system.services:
-        queue = system.services.get(QUEUE_SERVICE)
-        if queue is None:
-            raise SimulationError(
-                "EmulatedNetwork requires a simulation-mode system"
-            )
         system.register_service(
             EMULATOR_SERVICE,
-            EmulatorCore(queue, system.clock, system.random),
+            EmulatorCore(queue_of(system), system.clock, system.random),
         )
     return system.services[EMULATOR_SERVICE]
 

@@ -5,6 +5,11 @@ CLI behaviour, determinism, and the whole-tree cleanliness gate."""
 from __future__ import annotations
 
 import json
+import os
+import re
+import shutil
+import subprocess
+import sys
 import textwrap
 from functools import lru_cache
 from pathlib import Path
@@ -162,6 +167,48 @@ def test_d004_flags_resources_without_transfer_hooks(tmp_path):
     assert all("MigratableAcceptor" not in f.message for f in findings)
 
 
+D004_UNPACKING_FIXTURE = """\
+import multiprocessing
+import os
+import socket
+import threading
+
+from repro import ComponentDefinition
+
+
+class Waker(ComponentDefinition):
+    def __init__(self):
+        super().__init__()
+        self.wake_r, self.wake_w = socket.socketpair()
+        self.read_fd, self.write_fd = os.pipe()
+        [self.parent_end, self.child_end] = multiprocessing.Pipe()
+        self.lock, self.count = threading.Lock(), 0
+        self.host, self.port = ("127.0.0.1", 0)
+"""
+
+
+def test_d004_sees_tuple_and_list_targets(tmp_path):
+    _, findings = analyze_source(tmp_path, D004_UNPACKING_FIXTURE)
+    lines = [
+        line_of(D004_UNPACKING_FIXTURE, needle)
+        for needle in (
+            "        self.wake_r, self.wake_w = socket.socketpair()",
+            "        self.read_fd, self.write_fd = os.pipe()",
+            "        [self.parent_end, self.child_end] = multiprocessing.Pipe()",
+        )
+    ]
+    lock = line_of(
+        D004_UNPACKING_FIXTURE, "        self.lock, self.count = threading.Lock(), 0"
+    )
+    assert at(findings, "D004") == [
+        ("D004", line) for line in lines for _ in range(2)
+    ] + [("D004", lock)]
+    attrs = [f.extra["attr"] for f in findings if f.rule == "D004"]
+    assert attrs == [
+        "wake_r", "wake_w", "read_fd", "write_fd", "parent_end", "child_end", "lock",
+    ]
+
+
 # ---------------------------------------------------------------- D006
 
 
@@ -214,6 +261,39 @@ def tree_findings():
 def test_whole_tree_is_distribution_clean():
     findings = tree_findings()
     assert findings == [], "\n".join(f.format() for f in findings)
+
+
+def test_a_copy_of_src_is_analysed_alike_from_either_directory(tmp_path):
+    """The importable framework is context only where the scanned files
+    do not define the same modules.  A copy of ``src/`` analysed while
+    this tree's ``repro`` is importable must index the framework once,
+    exactly as the copy analysing itself does."""
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    # Strip the coded suppressions (outside the analyser itself) so the
+    # dist findings show: D006 counts trigger sites across the index.
+    for path in copy.rglob("*.py"):
+        if "analysis" not in path.relative_to(copy).parts:
+            path.write_text(re.sub(r"  # repro: noqa\[[A-Z0-9, ]+\]", "", path.read_text()))
+    here = [
+        (f.rule, Path(f.file).relative_to(tmp_path).as_posix(), f.line, f.message)
+        for f in analyze_paths([copy])
+    ]
+    run = subprocess.run(
+        [sys.executable, "-m", "repro.analysis", "dist", "src", "--format", "json"],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 1, run.stderr
+    there = [
+        (f["rule"], f["file"], f["line"], f["message"])
+        for f in json.loads(run.stdout)["findings"]
+    ]
+    assert any(rule == "D006" for rule, *_ in here)
+    assert here == there
 
 
 def test_tree_verdicts_cover_wire_messages():

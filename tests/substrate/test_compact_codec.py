@@ -338,7 +338,6 @@ def test_every_src_type_round_trips_with_pickle_forbidden(monkeypatch):
 
 def test_default_codecs_are_compact():
     from repro.network.aio import AioTcpNetwork
-    from repro.network.loopback import LoopbackNetwork
     from tests.kit import Scaffold, make_system
 
     assert isinstance(FrameCodec().codec, CompactCodec)
@@ -346,13 +345,11 @@ def test_default_codecs_are_compact():
 
     def build(scaffold):
         built["aio"] = scaffold.create(AioTcpNetwork, Address("127.0.0.1", 0)).definition
-        built["loop"] = scaffold.create(LoopbackNetwork, ADDR, serialize=True).definition
 
     system = make_system()
     system.bootstrap(Scaffold, build)
     try:
         assert isinstance(built["aio"].codec.codec, CompactCodec)
-        assert isinstance(built["loop"]._codec.codec, CompactCodec)
     finally:
         system.shutdown()
 

@@ -85,30 +85,6 @@ def test_loopback_drops_messages_to_unknown_destinations():
     system.shutdown()
 
 
-def test_loopback_serialize_mode_round_trips_messages():
-    system = make_system()
-    a, b = local_address(1), local_address(2)
-    built = {}
-
-    def build(scaffold):
-        net_a = scaffold.create(LoopbackNetwork, a, serialize=True)
-        node_a = scaffold.create(Node, a)
-        scaffold.connect(net_a.provided(Network), node_a.required(Network))
-        net_b = scaffold.create(LoopbackNetwork, b, serialize=True)
-        node_b = scaffold.create(Node, b)
-        scaffold.connect(net_b.provided(Network), node_b.required(Network))
-        built.update(a=node_a.definition, b=node_b.definition)
-
-    system.bootstrap(Scaffold, build)
-    settle(system)
-    built["a"].say(b, "serialized hello")
-    settle(system)
-    assert [m.text for m in built["b"].inbox] == ["serialized hello"]
-    # The delivered object is a reconstructed copy, not the original.
-    assert built["b"].inbox[0] is not None
-    system.shutdown()
-
-
 # --------------------------------------------------------------------- codec
 
 
